@@ -11,7 +11,7 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.special import erf, expit, log_expit
+from scipy.special import erf
 
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -98,6 +98,13 @@ class Tensor:
     def _accumulate(self, grad: np.ndarray):
         if self.grad is None:
             self.grad = grad.copy()
+        else:
+            self.grad += grad
+
+    def _accumulate_owned(self, grad: np.ndarray):
+        """`_accumulate` for a freshly allocated `grad`: kept without a copy."""
+        if self.grad is None:
+            self.grad = grad
         else:
             self.grad += grad
 
@@ -224,50 +231,11 @@ def gather_rows(a: Tensor, idx) -> Tensor:
     return Tensor(out_data, (a,), backward)
 
 
-def scatter_add_rows(a: Tensor, idx, num_rows: int) -> Tensor:
-    """out[i] = sum of a's rows e with idx[e] == i; backward gathers."""
-    idx = np.asarray(idx, dtype=np.intp)
-    out_data = np.zeros((num_rows,) + a.data.shape[1:], dtype=a.data.dtype)
-    np.add.at(out_data, idx, a.data)
-
-    def backward(g):
-        a._accumulate(g[idx])
-
-    return Tensor(_checked(out_data, "scatter_add_rows"), (a,), backward)
-
-
-def row_sum(a: Tensor) -> Tensor:
-    out_data = a.data.sum(axis=1, keepdims=True)
-
-    def backward(g):
-        a._accumulate(np.broadcast_to(g, a.data.shape))
-
-    return Tensor(_checked(out_data, "row_sum"), (a,), backward)
-
-
 def sum_all(a: Tensor) -> Tensor:
     def backward(g):
         a._accumulate(np.broadcast_to(g, a.data.shape))
 
     return Tensor(_checked(a.data.sum(), "sum_all"), (a,), backward)
-
-
-def mean_all(a: Tensor) -> Tensor:
-    size = a.data.size
-
-    def backward(g):
-        a._accumulate(np.broadcast_to(g / size, a.data.shape))
-
-    return Tensor(_checked(a.data.mean(), "mean_all"), (a,), backward)
-
-
-def tanh(a: Tensor) -> Tensor:
-    y = np.tanh(a.data)
-
-    def backward(g):
-        a._accumulate(g * (1.0 - y * y))
-
-    return Tensor(_checked(y, "tanh"), (a,), backward)
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -281,49 +249,6 @@ def gelu(a: Tensor) -> Tensor:
         a._accumulate(g * (phi_cdf + x * pdf))
 
     return Tensor(_checked(y, "gelu"), (a,), backward)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    y = expit(a.data)
-
-    def backward(g):
-        a._accumulate(g * y * (1.0 - y))
-
-    return Tensor(_checked(y, "sigmoid"), (a,), backward)
-
-
-def log_sigmoid(a: Tensor) -> Tensor:
-    """log(sigmoid(x)) without overflow for large negative x."""
-    y = log_expit(a.data)
-
-    def backward(g):
-        a._accumulate(g * expit(-a.data))
-
-    return Tensor(_checked(y, "log_sigmoid"), (a,), backward)
-
-
-def log(a: Tensor) -> Tensor:
-    def backward(g):
-        a._accumulate(g / a.data)
-
-    return Tensor(_checked(np.log(a.data), "log"), (a,), backward)
-
-
-def exp(a: Tensor) -> Tensor:
-    y = np.exp(a.data)
-
-    def backward(g):
-        a._accumulate(g * y)
-
-    return Tensor(_checked(y, "exp"), (a,), backward)
-
-
-def abs_(a: Tensor) -> Tensor:
-    """Element-wise absolute value; subgradient at 0 is 0 (numpy sign)."""
-    def backward(g):
-        a._accumulate(g * np.sign(a.data))
-
-    return Tensor(np.abs(a.data), (a,), backward)
 
 
 def neg_l1_distance(a: Tensor, b: Tensor, chunk: int = 0) -> Tensor:

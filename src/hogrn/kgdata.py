@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .seeding import substream
 
@@ -166,6 +167,31 @@ def export_dataset(directory, store: TripleStore, vocab: Vocabulary):
         export_split(directory / fname, arr, vocab)
 
 
+def _reject_duplicates(train: np.ndarray, num_entities: int, num_relations: int):
+    """Raise ValueError on the first training row that repeats an earlier one."""
+    # equal triples pack to equal keys (even if the product wraps), so no
+    # repeated key means no repeated triple
+    key = np.sort((train[:, 0] * num_relations + train[:, 1]) * num_entities + train[:, 2])
+    if not np.any(key[1:] == key[:-1]):
+        return
+    order = np.lexsort((train[:, 2], train[:, 1], train[:, 0]))  # stable: ties keep row order
+    ordered = train[order]
+    repeat = np.all(ordered[1:] == ordered[:-1], axis=1)
+    if repeat.any():
+        later, earlier = order[1:][repeat], order[:-1][repeat]
+        k = int(np.argmin(later))
+        h, r, t = train[later[k]].tolist()
+        raise ValueError(
+            f"duplicate training triple (head {h}, relation {r}, tail {t}) "
+            f"at rows {earlier[k]} and {later[k]}")
+
+
+def _incidence(rows: np.ndarray, num_rows: int) -> csr_array:
+    """CSR matrix with a unit entry at (rows[e], e); each row keeps column order."""
+    num_cols = rows.shape[0]
+    return csr_array((np.ones(num_cols), (rows, np.arange(num_cols))), shape=(num_rows, num_cols))
+
+
 class ExtendedGraph:
     """Training triples plus inverses and self-loops, indexed for aggregation.
 
@@ -174,11 +200,19 @@ class ExtendedGraph:
     `in_degree` counts extended edges per target, so it is at least 1
     everywhere; `norm_coeff[e] = 1 / sqrt(in_degree[src] * in_degree[tgt])`
     is the symmetric scaling used during aggregation.
+
+    Aggregation scatters through three CSR incidence matrices with unit
+    entries, each row listing its edges in edge order: `tgt_incidence`
+    (N x E, entry (tgt[e], e)), `endpoint_incidence` (N x 2E, entries
+    (src[e], e) and (tgt[e], E + e)) and `rel_incidence` (M' x E, entry
+    (rel[e], e)). A duplicated training triple would count its edge twice,
+    so it is rejected.
     """
 
     def __init__(self, train: np.ndarray, num_entities: int, num_raw_relations: int):
         if train.shape[0] == 0:
             raise ValueError("cannot extend an empty training split")
+        _reject_duplicates(train, num_entities, num_raw_relations)
         n, m = num_entities, num_raw_relations
         self.num_entities = n
         self.num_raw_relations = m
@@ -193,8 +227,10 @@ class ExtendedGraph:
         self.num_edges = self.edge_src.shape[0]
 
         self.in_degree = np.bincount(self.edge_tgt, minlength=n).astype(np.float64)
-        self.out_degree_raw = np.bincount(heads, minlength=n)
         self.norm_coeff = 1.0 / np.sqrt(self.in_degree[self.edge_src] * self.in_degree[self.edge_tgt])
+        self.tgt_incidence = _incidence(self.edge_tgt, n)
+        self.endpoint_incidence = _incidence(np.concatenate([self.edge_src, self.edge_tgt]), n)
+        self.rel_incidence = _incidence(self.edge_rel, self.num_relations)
 
         self._neighbor_index = None
         self._edge_positions = None

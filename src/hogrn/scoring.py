@@ -8,6 +8,7 @@ every entity at once and are the path used for training and ranking.
 from __future__ import annotations
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -66,7 +67,8 @@ def score_all_tails(head: str, h: np.ndarray, z: np.ndarray, src: int, rel: int)
     if not 0 <= rel < z.shape[0]:
         raise IndexError(f"relation id out of range: {rel}")
     if head == "transe":
-        return -np.abs((h[src] + z[rel])[None, :] - h).sum(axis=1)
+        # cdist sums |x - h_t| row by row; no (N, d) difference array is allocated
+        return -cdist((h[src] + z[rel])[None, :], h, "cityblock")[0]
     if head == "distmult":
         return h @ (h[src] * z[rel])
     raise ValueError(f"unknown score head: {head!r} (expected one of {SCORE_HEADS})")

@@ -14,8 +14,10 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from scipy.special import expit, log_expit
+
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Tensor, _checked
 from .evaluation import DIRECTIONS, build_filter_index, evaluate_split
 from .kgdata import ExtendedGraph, TripleStore, Vocabulary
 from .model import HoGRN
@@ -119,12 +121,30 @@ def build_queries(graph: ExtendedGraph) -> QuerySet:
 
 
 def bce_loss(scores: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean over all batch x entity cells of the per-cell cross-entropy."""
+    """Mean over all batch x entity cells of the per-cell cross-entropy.
+
+    Targets are 0/1, so each cell's cross-entropy is -log sigmoid(+-s): one
+    `log_expit` per cell forward and one `expit` per cell backward, with no
+    overflow at any finite score.
+    """
     if scores.shape != targets.shape:
         raise ValueError(f"scores {scores.shape} vs targets {targets.shape}")
-    pos = ad.log_sigmoid(scores) * targets
-    neg = ad.log_sigmoid(-scores) * (1.0 - targets)
-    return -ad.mean_all(pos + neg)
+    positive = targets == 1.0
+    if np.count_nonzero(positive) != np.count_nonzero(targets):
+        raise ValueError("bce_loss targets must be 0 or 1")
+    s = scores.data
+    size = s.size
+    loss = _checked(-log_expit(np.where(positive, s, -s)).mean(), "bce_loss")
+
+    def backward(g):
+        # d/ds of -log sigmoid(+-s) is -+sigmoid(-+s)
+        grad = np.where(positive, -s, s)
+        expit(grad, out=grad)
+        np.negative(grad, out=grad, where=positive)
+        grad *= g / size
+        scores._accumulate_owned(grad)
+
+    return Tensor(loss, (scores,), backward)
 
 
 def infonce_loss(z: Tensor, temperature: float) -> Tensor:

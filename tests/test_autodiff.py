@@ -9,7 +9,6 @@ from hogrn.autodiff import Tensor
 RNG = np.random.default_rng(1234)
 
 # reference values, computed once by hand from the closed forms and frozen
-TANH_2 = 0.9640275800758169
 GELU_1 = 0.8413447460685429
 GELU_2 = 1.9544997361036416
 
@@ -77,56 +76,10 @@ def test_gather_rows_accumulates_repeated_indices():
     check_op(lambda x: ad.sum_all(ad.gather_rows(x, idx) * np.arange(12).reshape(4, 3)), a)
 
 
-def test_scatter_add_rows_matches_bincount_and_grad():
-    a = RNG.normal(size=(5, 2))
-    idx = np.array([1, 0, 1, 2, 1])
-    out = ad.scatter_add_rows(Tensor(a), idx, 4)
-    expect = np.zeros((4, 2))
-    np.add.at(expect, idx, a)
-    np.testing.assert_allclose(out.data, expect)
-    c = RNG.normal(size=(4, 2))
-    check_op(lambda x: ad.sum_all(ad.scatter_add_rows(x, idx, 4) * c), a)
-
-
-def test_row_sum_sum_mean_grads():
-    a = RNG.normal(size=(3, 4))
-    check_op(lambda x: ad.sum_all(ad.row_sum(x) * np.arange(3.0)[:, None]), a)
-    check_op(lambda x: ad.mean_all(x * x), a)
-
-
-def test_tanh_value_and_grad():
-    assert ad.tanh(Tensor(np.array([[2.0]]))).item() == pytest.approx(TANH_2, abs=1e-12)
-    check_op(lambda x: ad.sum_all(ad.tanh(x)), RNG.normal(size=(3, 3)))
-
-
 def test_gelu_exact_values_and_grad():
     y = ad.gelu(Tensor(np.array([[0.0, 1.0, 2.0]])))
     np.testing.assert_allclose(y.data, [[0.0, GELU_1, GELU_2]], atol=1e-12)
     check_op(lambda x: ad.sum_all(ad.gelu(x)), RNG.normal(size=(3, 3)) * 2.0)
-
-
-def test_sigmoid_log_sigmoid_grads():
-    a = RNG.normal(size=(2, 5))
-    check_op(lambda x: ad.sum_all(ad.sigmoid(x)), a)
-    check_op(lambda x: ad.sum_all(ad.log_sigmoid(x)), a)
-
-
-def test_log_sigmoid_is_stable_for_large_negative_inputs():
-    y = ad.log_sigmoid(Tensor(np.array([[-1000.0]])))
-    assert np.isfinite(y.item())
-    assert y.item() == pytest.approx(-1000.0, rel=1e-12)
-
-
-def test_log_exp_grads():
-    check_op(lambda x: ad.sum_all(ad.log(x)), RNG.uniform(0.5, 2.0, size=(3, 3)))
-    check_op(lambda x: ad.sum_all(ad.exp(x)), RNG.normal(size=(3, 3)))
-
-
-def test_abs_grad_and_zero_subgradient():
-    check_op(lambda x: ad.sum_all(ad.abs_(x)), RNG.normal(size=(3, 3)) + 0.5)
-    t = Tensor(np.array([[0.0]]))
-    ad.sum_all(ad.abs_(t)).backward()
-    assert t.grad[0, 0] == 0.0
 
 
 def test_neg_l1_distance_matches_scipy_cityblock():
@@ -199,13 +152,14 @@ def test_separate_graphs_accumulate_into_shared_leaf():
 
 
 def test_finite_check_toggle():
+    big = np.array([[1e200]])
     with np.errstate(over="ignore"):
-        with pytest.raises(FloatingPointError, match="op 'exp'"):
-            ad.exp(Tensor(np.array([[1000.0]])))
+        with pytest.raises(FloatingPointError, match="op 'mul'"):
+            ad.mul(Tensor(big), Tensor(big))
         previous = ad.set_finite_checks(False)
         try:
             assert previous is True
-            assert np.isinf(ad.exp(Tensor(np.array([[1000.0]]))).data[0, 0])
+            assert np.isinf(ad.mul(Tensor(big), Tensor(big)).data[0, 0])
         finally:
             ad.set_finite_checks(True)
 

@@ -5,12 +5,26 @@ import pytest
 
 from hogrn import autodiff as ad
 from hogrn.autodiff import Tensor
-from hogrn.entity_updater import aggregate, attention, compose
+from hogrn.entity_updater import aggregate
 from hogrn.kgdata import ExtendedGraph, extend_triples
 
 from conftest import make_store
 
 TANH_2 = 0.9640275800758169
+
+
+def compose(h, z):
+    """Project an entity vector into a relation's space (Hadamard product)."""
+    h = np.asarray(h, dtype=np.float64)
+    z = np.asarray(z, dtype=np.float64)
+    if h.shape != z.shape:
+        raise ValueError(f"compose dimension mismatch: {h.shape} vs {z.shape}")
+    return h * z
+
+
+def attention(h_s, z_r, h_t):
+    """Single-edge attention: tanh inner product of the two relation-projected endpoints."""
+    return float(np.tanh(compose(h_s, z_r) @ compose(h_t, z_r)))
 
 
 def loop_aggregate(h, z, train, num_entities, num_raw):
@@ -179,3 +193,20 @@ def test_aggregate_gradients_match_finite_differences(six_graph):
             flat[i] = orig
             numeric[i] = (f_plus - f_minus) / (2 * eps)
         np.testing.assert_allclose(leaf.grad.reshape(-1), numeric, atol=1e-6, rtol=1e-5)
+
+
+def test_aggregate_rejects_overflow_that_saturates_attention(six_graph):
+    # 1e200 * 1e200 overflows the pre-activation of every edge into entity 0
+    # while tanh keeps the attention finite at 1 and H_next stays finite
+    h = np.ones((6, 3))
+    h[0] = 1e200
+    z = np.ones((7, 3))
+    with np.errstate(over="ignore"):
+        with pytest.raises(FloatingPointError, match="op 'aggregate'"):
+            aggregate(Tensor(h), Tensor(z), six_graph)
+        previous = ad.set_finite_checks(False)
+        try:
+            h_next, alpha = aggregate(Tensor(h), Tensor(z), six_graph)
+        finally:
+            ad.set_finite_checks(previous)
+    assert np.all(np.isfinite(h_next.data)) and np.all(np.isfinite(alpha))

@@ -125,6 +125,25 @@ def test_extension_rejects_empty_train():
         ExtendedGraph(np.empty((0, 3), dtype=np.int64), 3, 1)
 
 
+def test_extension_rejects_duplicate_triples_naming_first_repeat():
+    train = np.array([[0, 0, 1], [1, 1, 2], [2, 0, 0], [1, 1, 2], [0, 0, 1], [1, 1, 2]])
+    with pytest.raises(ValueError, match=r"\(head 1, relation 1, tail 2\) at rows 1 and 3"):
+        ExtendedGraph(train, 3, 2)
+
+
+def test_incidence_rows_list_edges_in_edge_order(six_graph):
+    g = six_graph
+    endpoints = np.concatenate([g.edge_src, g.edge_tgt])
+    for incidence, rows, num_rows in ((g.tgt_incidence, g.edge_tgt, g.num_entities),
+                                      (g.endpoint_incidence, endpoints, g.num_entities),
+                                      (g.rel_incidence, g.edge_rel, g.num_relations)):
+        assert incidence.shape == (num_rows, rows.shape[0])
+        np.testing.assert_array_equal(incidence.data, 1.0)
+        for i in range(num_rows):
+            cols = incidence.indices[incidence.indptr[i]:incidence.indptr[i + 1]]
+            np.testing.assert_array_equal(cols, np.flatnonzero(rows == i))
+
+
 def test_edge_position_round_trips(six_graph):
     for e in range(six_graph.num_edges):
         s, r, t = six_graph.edge_src[e], six_graph.edge_rel[e], six_graph.edge_tgt[e]
