@@ -14,12 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kgdata import TripleStore, Vocabulary
+from .kgdata import TripleStore, Vocabulary, group_answers
 from .scoring import SCORE_HEADS, score_all_tails
 
 DIRECTIONS = ("both", "tail")
 
 _EMPTY = np.empty(0, dtype=np.int64)
+
+# score cells per evaluation block: 1 << 21 float64 scores are 16 MB
+BLOCK_CELLS = 1 << 21
 
 
 @dataclass
@@ -57,32 +60,46 @@ def build_filter_index(store: TripleStore, vocab: Vocabulary) -> dict[tuple[int,
     """Known answers per (source, relation) query over all three splits.
 
     Head queries are keyed by the inverse relation id, so one index serves
-    both directions.
+    both directions. Each answer array is sorted and unique, which the
+    ranker's subtraction of known rivals relies on.
     """
     num_raw = len(vocab.relations)
-    answers: dict[tuple[int, int], set[int]] = {}
-    for split in store.splits().values():
-        for s, r, t in split:
-            answers.setdefault((int(s), int(r)), set()).add(int(t))
-            answers.setdefault((int(t), int(r) + num_raw), set()).add(int(s))
-    return {
-        key: np.array(sorted(vals), dtype=np.int64) for key, vals in answers.items()
-    }
+    facts = np.concatenate(list(store.splits().values()), dtype=np.int64)
+    src, rel, answers = group_answers(
+        np.concatenate([facts[:, 0], facts[:, 2]]),
+        np.concatenate([facts[:, 1], facts[:, 1] + num_raw]),
+        np.concatenate([facts[:, 2], facts[:, 0]]))
+    return dict(zip(zip(src.tolist(), rel.tolist()), answers))
+
+
+def _rank_block(scores: np.ndarray, gold: np.ndarray, known: list[np.ndarray]) -> np.ndarray:
+    """Filtered tie-averaged rank of `gold[i]` in each row `scores[i]`.
+
+    Rivals are counted over all N candidates, then the same counts over the
+    row's known answers other than its gold are subtracted, so every known
+    array must hold unique ids.
+    """
+    if gold.size and (gold.min() < 0 or gold.max() >= scores.shape[1]):
+        raise IndexError(f"gold entity out of range: {gold.min()}..{gold.max()}")
+    rows = np.arange(gold.shape[0])
+    gold_score = scores[rows, gold]
+    greater = np.count_nonzero(scores > gold_score[:, None], axis=1)
+    ties = np.count_nonzero(scores == gold_score[:, None], axis=1) - 1
+    known_row = np.repeat(rows, [k.shape[0] for k in known])
+    known_col = np.concatenate([_EMPTY, *known])
+    rival = known_col != gold[known_row]
+    known_row, known_col = known_row[rival], known_col[rival]
+    known_score, row_gold = scores[known_row, known_col], gold_score[known_row]
+    greater -= np.bincount(known_row[known_score > row_gold], minlength=rows.shape[0])
+    ties -= np.bincount(known_row[known_score == row_gold], minlength=rows.shape[0])
+    return 1.0 + greater + 0.5 * ties
 
 
 def filtered_rank(scores: np.ndarray, gold: int, known: np.ndarray) -> float:
     """Tie-averaged rank of the gold entity after masking other known answers."""
     scores = np.asarray(scores, dtype=np.float64)
-    if not 0 <= gold < scores.shape[0]:
-        raise IndexError(f"gold entity out of range: {gold}")
-    allowed = np.ones(scores.shape[0], dtype=bool)
-    allowed[known] = False
-    allowed[gold] = True
-    candidate = scores[allowed]
-    gold_score = scores[gold]
-    greater = int(np.count_nonzero(candidate > gold_score))
-    ties = int(np.count_nonzero(candidate == gold_score)) - 1
-    return 1.0 + greater + 0.5 * ties
+    known = np.unique(np.asarray(known, dtype=np.int64))
+    return float(_rank_block(scores[None, :], np.array([gold]), [known])[0])
 
 
 def num_candidates(num_entities: int, gold: int, known: np.ndarray) -> int:
@@ -102,28 +119,37 @@ def evaluate_split(
     direction: str = "both",
     keep_ranks: bool = False,
 ) -> EvalReport:
+    """Filtered MRR and Hits@k over a split, scored and ranked in blocks.
+
+    Queries are taken in order, a triple's tail query before its head query,
+    and scored BLOCK_CELLS // N at a time as one (B, N) block. The answer
+    arrays of `filter_index` must hold unique ids, as `build_filter_index`'s do.
+    """
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
     if head not in SCORE_HEADS:
         raise ValueError(f"unknown score head: {head!r}")
-    if np.asarray(triples).shape[0] == 0:
+    triples = np.asarray(triples, dtype=np.int64)
+    if triples.shape[0] == 0:
         raise ValueError("cannot evaluate an empty split")
-    queries: list[tuple[int, int, int]] = []
-    for s, r, t in np.asarray(triples, dtype=np.int64):
-        queries.append((int(s), int(r), int(t)))
-        if direction == "both":
-            queries.append((int(t), int(r) + num_raw_relations, int(s)))
-    ranks = np.empty(len(queries), dtype=np.float64)
-    for i, (src, rel, gold) in enumerate(queries):
-        scores = score_all_tails(head, h, z, src, rel)
-        known = filter_index.get((src, rel), _EMPTY)
-        ranks[i] = filtered_rank(scores, gold, known)
+    src, rel, gold = triples[:, 0], triples[:, 1], triples[:, 2]
+    if direction == "both":
+        # interleave each tail query with its head query
+        src, rel, gold = (np.column_stack(pair).ravel()
+                          for pair in ((src, gold), (rel, rel + num_raw_relations), (gold, src)))
+    known = [filter_index.get(key, _EMPTY) for key in zip(src.tolist(), rel.tolist())]
+    ranks = np.empty(src.shape[0], dtype=np.float64)
+    rows = max(1, BLOCK_CELLS // h.shape[0])
+    for start in range(0, src.shape[0], rows):
+        block = slice(start, start + rows)
+        scores = score_all_tails(head, h, z, src[block], rel[block])
+        ranks[block] = _rank_block(scores, gold[block], known[block])
     return EvalReport(
         mrr=float(np.mean(1.0 / ranks)),
         hits1=float(np.mean(ranks <= 1.0)),
         hits3=float(np.mean(ranks <= 3.0)),
         hits10=float(np.mean(ranks <= 10.0)),
-        num_queries=len(queries),
+        num_queries=src.shape[0],
         direction=direction,
         ranks=ranks if keep_ranks else None,
     )

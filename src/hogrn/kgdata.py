@@ -129,13 +129,6 @@ class TripleStore:
     def splits(self):
         return {"train": self.train, "valid": self.valid, "test": self.test}
 
-    def known_facts(self) -> set[tuple[int, int, int]]:
-        """Union of all splits, used for filtered ranking."""
-        facts = set()
-        for arr in (self.train, self.valid, self.test):
-            facts.update(map(tuple, arr.tolist()))
-        return facts
-
 
 def load_dataset(directory) -> tuple[TripleStore, Vocabulary]:
     """Load train/valid/test triple files from a directory.
@@ -165,6 +158,26 @@ def export_dataset(directory, store: TripleStore, vocab: Vocabulary):
     directory.mkdir(parents=True, exist_ok=True)
     for fname, arr in zip(SPLIT_FILES, (store.train, store.valid, store.test)):
         export_split(directory / fname, arr, vocab)
+
+
+def group_answers(src: np.ndarray, rel: np.ndarray, ans: np.ndarray):
+    """Distinct (source, relation) pairs with the sorted, unique answers of each.
+
+    Returns the pairs' sources and relations in lexicographic order, and a
+    list holding each pair's answers as one int array.
+    """
+    order = np.lexsort((ans, rel, src))
+    src, rel, ans = src[order], rel[order], ans[order]
+    new_pair = np.ones(src.shape[0], dtype=bool)
+    new_pair[1:] = (src[1:] != src[:-1]) | (rel[1:] != rel[:-1])
+    distinct = new_pair.copy()
+    distinct[1:] |= ans[1:] != ans[:-1]
+    src, rel, ans, new_pair = src[distinct], rel[distinct], ans[distinct], new_pair[distinct]
+    starts = np.flatnonzero(new_pair)
+    ends = np.append(starts[1:], ans.shape[0])
+    # plain slices: np.split costs about four times as much per group
+    answers = [ans[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
+    return src[starts], rel[starts], answers
 
 
 def _reject_duplicates(train: np.ndarray, num_entities: int, num_relations: int):
@@ -232,18 +245,8 @@ class ExtendedGraph:
         self.endpoint_incidence = _incidence(np.concatenate([self.edge_src, self.edge_tgt]), n)
         self.rel_incidence = _incidence(self.edge_rel, self.num_relations)
 
-        self._neighbor_index = None
         self._edge_positions = None
         self._out_adjacency = None
-
-    def neighbors(self, entity: int) -> list[tuple[int, int]]:
-        """Incoming (source, extended relation) pairs of `entity`, self-loop included."""
-        if self._neighbor_index is None:
-            index = [[] for _ in range(self.num_entities)]
-            for s, r, t in zip(self.edge_src.tolist(), self.edge_rel.tolist(), self.edge_tgt.tolist()):
-                index[t].append((s, r))
-            self._neighbor_index = index
-        return self._neighbor_index[entity]
 
     def edge_position(self, src: int, rel: int, tgt: int) -> int:
         if self._edge_positions is None:

@@ -19,7 +19,7 @@ from scipy.special import expit, log_expit
 from . import autodiff as ad
 from .autodiff import Tensor, _checked
 from .evaluation import DIRECTIONS, build_filter_index, evaluate_split
-from .kgdata import ExtendedGraph, TripleStore, Vocabulary
+from .kgdata import ExtendedGraph, TripleStore, Vocabulary, group_answers
 from .model import HoGRN
 from .optim import Adam
 from .scoring import SCORE_HEADS, batch_scores
@@ -107,17 +107,8 @@ class QuerySet:
 
 
 def build_queries(graph: ExtendedGraph) -> QuerySet:
-    order = np.lexsort((graph.edge_tgt, graph.edge_rel, graph.edge_src))
-    s = graph.edge_src[order]
-    r = graph.edge_rel[order]
-    t = graph.edge_tgt[order]
-    new = np.ones(s.shape[0], dtype=bool)
-    new[1:] = (s[1:] != s[:-1]) | (r[1:] != r[:-1])
-    starts = np.flatnonzero(new)
-    ends = np.append(starts[1:], s.shape[0])
-    tails = [np.unique(t[a:b]) for a, b in zip(starts, ends)]
-    return QuerySet(src=s[starts].copy(), rel=r[starts].copy(), tails=tails,
-                    num_entities=graph.num_entities)
+    src, rel, tails = group_answers(graph.edge_src, graph.edge_rel, graph.edge_tgt)
+    return QuerySet(src=src, rel=rel, tails=tails, num_entities=graph.num_entities)
 
 
 def bce_loss(scores: Tensor, targets: np.ndarray) -> Tensor:

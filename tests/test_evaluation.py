@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hogrn import evaluation
 from hogrn.evaluation import (
     EvalReport,
     build_filter_index,
@@ -10,7 +11,9 @@ from hogrn.evaluation import (
     num_candidates,
     oracle_rank,
 )
+from hogrn.kgdata import TripleStore
 from hogrn.scoring import score_all_tails
+from hogrn.synthetic import rule_composition_kg
 
 from conftest import make_store
 
@@ -74,6 +77,75 @@ def test_build_filter_index_spans_all_splits_and_inverses():
     np.testing.assert_array_equal(index[(b, r + m)], [a])
     np.testing.assert_array_equal(index[(c, r + m)], [a])
     np.testing.assert_array_equal(index[(b, r)], [a])
+
+
+def test_build_filter_index_equals_a_set_based_rebuild():
+    store, vocab = rule_composition_kg(num_entities=60, branching=3, seed=4)
+    # a fact repeated within and across splits is one known answer
+    store = TripleStore(store.train, np.concatenate([store.valid, store.valid[:2]]),
+                        np.concatenate([store.test, store.train[:3]]))
+    m = vocab.num_relations
+    expect: dict[tuple[int, int], set[int]] = {}
+    for split in (store.train, store.valid, store.test):
+        for s, r, t in split.tolist():
+            expect.setdefault((s, r), set()).add(t)
+            expect.setdefault((t, r + m), set()).add(s)
+    index = build_filter_index(store, vocab)
+    assert index.keys() == expect.keys()
+    for key, answers in expect.items():
+        assert all(type(k) is int for k in key)
+        assert index[key].dtype == np.int64
+        np.testing.assert_array_equal(index[key], sorted(answers))
+
+
+def test_build_filter_index_of_empty_splits_is_empty():
+    store, vocab = make_store(train=[])
+    assert build_filter_index(store, vocab) == {}
+
+
+def test_block_ranks_match_oracle_on_dyadic_states(monkeypatch):
+    rng = np.random.default_rng(3)
+    for i in range(12):
+        n = int(rng.integers(3, 16))
+        d = int(rng.integers(1, 4))
+        num_raw = 2
+        h = rng.integers(-8, 9, size=(n, d)) / 8.0
+        z = rng.integers(-8, 9, size=(2 * num_raw + 1, d)) / 8.0
+        if i % 4 == 0:
+            h[:] = h[0]  # every candidate ties under both heads
+        triples = np.stack([rng.integers(0, n, 7), rng.integers(0, num_raw, 7),
+                            rng.integers(0, n, 7)], axis=1)
+        index = {}
+        for s, r, t in triples.tolist():
+            for key, gold in (((s, r), t), ((t, r + num_raw), s)):
+                if rng.integers(3) == 0:
+                    continue  # no known answers for this query
+                if rng.integers(4) == 0:
+                    known = np.arange(n)  # full filter, gold included
+                else:
+                    known = np.sort(rng.choice(n, size=int(rng.integers(1, n)), replace=False))
+                    if rng.integers(2):
+                        known = np.union1d(known, [gold])
+                index[key] = known
+        # 3 rows per block: blocks end mid-split and between a triple's two queries
+        monkeypatch.setattr(evaluation, "BLOCK_CELLS", 3 * n)
+        for head in ("transe", "distmult"):
+            for direction in ("both", "tail"):
+                ranks = evaluate_split(head, h, z, triples, index, num_raw, direction,
+                                       keep_ranks=True).ranks
+                queries = [(s, r, t) for s, r, t in triples.tolist()]
+                if direction == "both":
+                    queries = [q for s, r, t in queries for q in ((s, r, t), (t, r + num_raw, s))]
+                expect = [oracle_rank(head, h, z, s, r, t, index.get((s, r), EMPTY))
+                          for s, r, t in queries]
+                np.testing.assert_array_equal(ranks, expect, err_msg=f"{i} {head} {direction}")
+
+
+def test_evaluate_split_rejects_out_of_range_ids():
+    h, z = np.ones((3, 2)), np.ones((3, 2))
+    for bad in ([0, 0, 3], [0, 0, -1], [3, 0, 0]):
+        with pytest.raises(IndexError, match="entity"):
+            evaluate_split("distmult", h, z, np.array([bad]), {}, 1, "tail")
 
 
 def ranks_124_setup():

@@ -3,14 +3,36 @@ import pytest
 
 from hogrn import autodiff as ad
 from hogrn.autodiff import Tensor
-from hogrn.scoring import (
-    SCORE_HEADS,
-    batch_scores,
-    score_all_tails,
-    score_distmult,
-    score_transe,
-    single_score,
-)
+from hogrn.scoring import SCORE_HEADS, batch_scores, score_all_tails
+
+
+# Single-triple oracles: plain vector arithmetic, independent of both batched forms.
+
+def _check_vectors(h_s, z_r, h_t):
+    h_s = np.asarray(h_s, dtype=np.float64)
+    z_r = np.asarray(z_r, dtype=np.float64)
+    h_t = np.asarray(h_t, dtype=np.float64)
+    if not h_s.shape == z_r.shape == h_t.shape:
+        raise ValueError(f"score dimension mismatch: {h_s.shape}, {z_r.shape}, {h_t.shape}")
+    return h_s, z_r, h_t
+
+
+def score_transe(h_s, z_r, h_t) -> float:
+    h_s, z_r, h_t = _check_vectors(h_s, z_r, h_t)
+    return float(-np.abs(h_s + z_r - h_t).sum())
+
+
+def score_distmult(h_s, z_r, h_t) -> float:
+    h_s, z_r, h_t = _check_vectors(h_s, z_r, h_t)
+    return float((h_s * z_r * h_t).sum())
+
+
+def single_score(head: str, h_s, z_r, h_t) -> float:
+    if head == "transe":
+        return score_transe(h_s, z_r, h_t)
+    if head == "distmult":
+        return score_distmult(h_s, z_r, h_t)
+    raise ValueError(f"unknown score head: {head!r} (expected one of {SCORE_HEADS})")
 
 
 def test_distmult_hand_example():
@@ -82,6 +104,50 @@ def test_score_all_tails_matches_batch_row():
         row = batch_scores(head, Tensor(h.copy()), Tensor(z.copy()),
                            np.array([2]), np.array([3])).data[0]
         np.testing.assert_allclose(fast, row, atol=1e-12)
+
+
+def test_score_all_tails_block_equals_stacked_scalar_calls():
+    rng = np.random.default_rng(6)
+    # dyadic states: every score is exact, so any summation order gives the same bits
+    h = rng.integers(-8, 9, size=(9, 4)) / 8.0
+    z = rng.integers(-8, 9, size=(5, 4)) / 8.0
+    src = np.array([0, 8, 3, 3, 5])
+    rel = np.array([4, 0, 1, 2, 4])
+    for head in SCORE_HEADS:
+        block = score_all_tails(head, h, z, src, rel)
+        rows = np.stack([score_all_tails(head, h, z, int(s), int(r)) for s, r in zip(src, rel)])
+        assert block.shape == (5, 9) and rows.shape == (5, 9)
+        np.testing.assert_array_equal(block, rows, err_msg=head)
+        for i, (s, r) in enumerate(zip(src, rel)):
+            for t in range(9):
+                assert block[i, t] == single_score(head, h[s], z[r], h[t])
+
+
+def test_score_all_tails_block_matches_scalar_calls_to_rounding():
+    # a DistMult block is one GEMM and a row a GEMV, so general floats may
+    # differ in the last bits; TransE sums each pair alone and stays exact
+    rng = np.random.default_rng(7)
+    h = rng.normal(size=(40, 16))
+    z = rng.normal(size=(6, 16))
+    src = rng.integers(0, 40, size=12)
+    rel = rng.integers(0, 6, size=12)
+    for head in SCORE_HEADS:
+        block = score_all_tails(head, h, z, src, rel)
+        rows = np.stack([score_all_tails(head, h, z, int(s), int(r)) for s, r in zip(src, rel)])
+        if head == "transe":
+            np.testing.assert_array_equal(block, rows)
+        else:
+            np.testing.assert_allclose(block, rows, rtol=1e-12, atol=1e-12)
+
+
+def test_score_all_tails_validates_ids_and_head():
+    h, z = np.ones((3, 2)), np.ones((2, 2))
+    with pytest.raises(IndexError, match="entity"):
+        score_all_tails("distmult", h, z, np.array([0, 3]), np.array([0, 0]))
+    with pytest.raises(IndexError, match="relation"):
+        score_all_tails("transe", h, z, 0, -1)
+    with pytest.raises(ValueError, match="unknown score head"):
+        score_all_tails("complex", h, z, 0, 0)
 
 
 def test_batch_scores_validates_index_ranges():

@@ -8,6 +8,7 @@ from hogrn.evaluation import build_filter_index, evaluate_split
 from hogrn.kgdata import extend_triples
 from hogrn.model import HoGRN
 from hogrn.scoring import batch_scores
+from hogrn.synthetic import rule_composition_kg
 from hogrn.training import (
     EpochLog,
     TrainConfig,
@@ -45,6 +46,15 @@ def test_build_queries_covers_unique_source_relation_pairs(six_graph):
            for s, r, tails in zip(queries.src, queries.rel, queries.tails)}
     assert got == expect
     assert len(queries) == len(expect)
+
+
+def test_build_queries_tails_are_sorted_and_unique():
+    store, vocab = rule_composition_kg(num_entities=60, branching=3, seed=1)
+    queries = build_queries(extend_triples(store, vocab))
+    assert max(len(t) for t in queries.tails) > 1
+    for tails in queries.tails:
+        assert np.all(np.diff(tails) > 0)
+        np.testing.assert_array_equal(tails, np.unique(tails))
 
 
 def test_build_queries_includes_self_loop_queries(six_graph):
