@@ -6,7 +6,7 @@ states; everything trains end to end through a small reverse-mode autodiff
 engine with finite-difference verification built in.
 """
 
-from .autodiff import Tensor, set_finite_checks
+from .autodiff import Tensor
 from .evaluation import EvalReport, build_filter_index, evaluate_split, filtered_rank, oracle_rank
 from .explain import ExplainedPath, enumerate_paths, explain, normalize_attentions, to_dot, to_records
 from .kgdata import (
@@ -80,7 +80,6 @@ __all__ = [
     "restore_model",
     "rule_composition_kg",
     "save_checkpoint",
-    "set_finite_checks",
     "sparsify_subset",
     "substream",
     "to_dot",

@@ -16,19 +16,9 @@ from scipy.special import erf
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
-_finite_checks = True
-
-
-def set_finite_checks(enabled: bool) -> bool:
-    """Toggle the per-operation NaN/Inf guard. Returns the previous setting."""
-    global _finite_checks
-    previous = _finite_checks
-    _finite_checks = bool(enabled)
-    return previous
-
 
 def _checked(data: np.ndarray, op: str) -> np.ndarray:
-    if _finite_checks and not np.all(np.isfinite(data)):
+    if not np.all(np.isfinite(data)):
         raise FloatingPointError(f"non-finite values produced by op '{op}'")
     return data
 
@@ -60,10 +50,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    @property
-    def T(self):
-        return transpose(self)
 
     def item(self) -> float:
         return float(self.data.item()) if isinstance(self.data, np.ndarray) else float(self.data)
@@ -112,29 +98,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return add(neg(self), other)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __truediv__(self, scalar):
-        return mul(self, 1.0 / float(scalar))
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape})"
@@ -170,13 +138,6 @@ def sub(a, b) -> Tensor:
             b._accumulate(_unbroadcast(-g, b.data.shape))
 
     return Tensor(out_data, parents, backward)
-
-
-def neg(a: Tensor) -> Tensor:
-    def backward(g):
-        a._accumulate(-g)
-
-    return Tensor(-a.data, (a,), backward)
 
 
 def mul(a, b) -> Tensor:
@@ -218,19 +179,6 @@ def transpose(a: Tensor) -> Tensor:
     return Tensor(a.data.T, (a,), backward)
 
 
-def gather_rows(a: Tensor, idx) -> Tensor:
-    """Select rows by integer index; backward scatter-adds into the source."""
-    idx = np.asarray(idx, dtype=np.intp)
-    out_data = a.data[idx]
-
-    def backward(g):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        np.add.at(a.grad, idx, g)
-
-    return Tensor(out_data, (a,), backward)
-
-
 def sum_all(a: Tensor) -> Tensor:
     def backward(g):
         a._accumulate(np.broadcast_to(g, a.data.shape))
@@ -249,38 +197,6 @@ def gelu(a: Tensor) -> Tensor:
         a._accumulate(g * (phi_cdf + x * pdf))
 
     return Tensor(_checked(y, "gelu"), (a,), backward)
-
-
-def neg_l1_distance(a: Tensor, b: Tensor, chunk: int = 0) -> Tensor:
-    """Pairwise negative L1 distance: out[i, j] = -sum_k |a[i,k] - b[j,k]|.
-
-    Computed in row chunks of `a` so the (rows_a, rows_b, d) difference cube
-    never materializes at once; backward recomputes signs per chunk.
-    """
-    a_d, b_d = a.data, b.data
-    if a_d.shape[1] != b_d.shape[1]:
-        raise ValueError(f"dimension mismatch: {a_d.shape} vs {b_d.shape}")
-    p, q = a_d.shape[0], b_d.shape[0]
-    if chunk <= 0:
-        chunk = max(1, int(4_000_000 // max(1, q * a_d.shape[1])))
-    out_data = np.empty((p, q), dtype=a_d.dtype)
-    for lo in range(0, p, chunk):
-        hi = min(lo + chunk, p)
-        out_data[lo:hi] = -np.abs(a_d[lo:hi, None, :] - b_d[None, :, :]).sum(axis=2)
-
-    def backward(g):
-        ga = np.zeros_like(a_d)
-        gb = np.zeros_like(b_d)
-        for lo in range(0, p, chunk):
-            hi = min(lo + chunk, p)
-            s = np.sign(a_d[lo:hi, None, :] - b_d[None, :, :])
-            weighted = g[lo:hi, :, None] * s
-            ga[lo:hi] = -weighted.sum(axis=1)
-            gb += weighted.sum(axis=0)
-        a._accumulate(ga)
-        b._accumulate(gb)
-
-    return Tensor(_checked(out_data, "neg_l1_distance"), (a, b), backward)
 
 
 def cosine_similarity_matrix(a: Tensor) -> Tensor:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Tensor
 from .entity_updater import aggregate
 from .kgdata import ExtendedGraph
@@ -97,11 +96,7 @@ class HoGRN:
 
     def eval_states(self) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
         """Deterministic forward (no masking); plain arrays for ranking/explaining."""
-        checks = ad.set_finite_checks(True)
-        try:
-            h, z, attentions = self.forward(training=False)
-        finally:
-            ad.set_finite_checks(checks)
+        h, z, attentions = self.forward(training=False)
         return h.data.copy(), z.data.copy(), attentions
 
     def config_dict(self) -> dict:

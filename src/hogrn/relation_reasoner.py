@@ -27,16 +27,8 @@ class MixerWeights:
     w4: Tensor  # (F2, d)
 
 
-@dataclass(frozen=True)
-class MaskDraw:
-    """Which extended relations were zeroed for one masking draw."""
-
-    masked_ids: tuple[int, ...]
-    ratio: float
-
-
 def mask_relations(z: Tensor, ratio: float, rng: np.random.Generator,
-                   self_loop_id: int) -> tuple[Tensor, MaskDraw]:
+                   self_loop_id: int) -> Tensor:
     """Zero a fraction `ratio` of the maskable relation rows; the self-loop is never masked.
 
     With x = ratio * maskable, the count is stochastically rounded: floor(x)
@@ -58,11 +50,11 @@ def mask_relations(z: Tensor, ratio: float, rng: np.random.Generator,
     if expected > n_mask:
         n_mask += int(rng.random() < expected - n_mask)
     if n_mask == 0:
-        return z, MaskDraw((), ratio)
+        return z
     picked = np.sort(rng.choice(maskable, size=n_mask, replace=False))
     keep = np.ones((num_relations, 1))
     keep[picked] = 0.0
-    return z * keep, MaskDraw(tuple(int(r) for r in picked), ratio)
+    return z * keep
 
 
 def inter_mix(z: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
@@ -82,5 +74,5 @@ def intra_mix(z: Tensor, w3: Tensor, w4: Tensor) -> Tensor:
 def reason(z: Tensor, weights: MixerWeights, ratio: float, rng, self_loop_id: int,
            training: bool) -> Tensor:
     """Full relation update: mask (training only), then inter- and intra-mixing."""
-    z_in, _ = mask_relations(z, ratio if training else 0.0, rng, self_loop_id)
+    z_in = mask_relations(z, ratio if training else 0.0, rng, self_loop_id)
     return intra_mix(inter_mix(z_in, weights.w1, weights.w2), weights.w3, weights.w4)

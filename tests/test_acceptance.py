@@ -129,9 +129,9 @@ def test_criterion_3_structural_invariants():
     rng = substream(0, "masking")
     state_before = rng.bit_generator.state
     z = Tensor(substream(1, "init").normal(size=(graph.num_relations, 4)))
-    masked, draw = mask_relations(z, 0.0, rng, graph.self_loop_id)
+    masked = mask_relations(z, 0.0, rng, graph.self_loop_id)
+    assert masked is z
     np.testing.assert_array_equal(masked.data, z.data)
-    assert draw.masked_ids == ()
     assert rng.bit_generator.state == state_before
 
     m_ext = graph.num_relations

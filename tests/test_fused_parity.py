@@ -1,10 +1,13 @@
-"""The fused aggregation and BCE nodes against the tape they replace, bit for bit.
+"""The fused aggregation, scoring and BCE nodes against the tape they replace.
 
-`reference_aggregate` and `reference_bce_loss` rebuild the earlier form of
-both layers: a chain of small tape nodes whose scatters are `np.add.at`.
-Swapping them in for `hogrn.model.aggregate` and `hogrn.training.bce_loss`
-must leave the loss, every gradient and the parameters after Adam steps of
-the full model unchanged to the last bit, not merely to rounding.
+`reference_aggregate`, `reference_batch_scores` and `reference_bce_loss`
+rebuild the earlier form of these layers: a chain of small tape nodes whose
+scatters are `np.add.at`. Swapping them in for `hogrn.model.aggregate`,
+`hogrn.training.batch_scores` and `hogrn.training.bce_loss` must leave the
+loss, every gradient and the parameters after Adam steps of the full model
+unchanged to the last bit, not merely to rounding. The one exception is
+TransE scoring: `cdist` sums each L1 distance in another order than the
+abs-sum below, so there the match is to rounding.
 """
 import numpy as np
 import pytest
@@ -20,6 +23,30 @@ from hogrn.optim import Adam
 from hogrn.seeding import substream
 from hogrn.synthetic import rule_composition_kg
 from hogrn.training import batch_loss, bce_loss, build_queries
+
+
+def _gather_rows(a, idx):
+    def backward(g):
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+        np.add.at(a.grad, idx, g)
+
+    return Tensor(a.data[idx], (a,), backward)
+
+
+def _neg(a):
+    return Tensor(-a.data, (a,), lambda g: a._accumulate(-g))
+
+
+def _neg_l1_distance(a, b):
+    diff = a.data[:, None, :] - b.data[None, :, :]
+
+    def backward(g):
+        weighted = g[:, :, None] * np.sign(diff)
+        a._accumulate(-weighted.sum(axis=1))
+        b._accumulate(weighted.sum(axis=0))
+
+    return Tensor(-np.abs(diff).sum(axis=2), (a, b), backward)
 
 
 def _scatter_add_rows(a, idx, num_rows):
@@ -49,26 +76,36 @@ def _mean_all(a):
 
 
 def reference_aggregate(h, z, graph):
-    h_src = ad.gather_rows(h, graph.edge_src)
-    z_rel = ad.gather_rows(z, graph.edge_rel)
-    h_tgt = ad.gather_rows(h, graph.edge_tgt)
+    h_src = _gather_rows(h, graph.edge_src)
+    z_rel = _gather_rows(z, graph.edge_rel)
+    h_tgt = _gather_rows(h, graph.edge_tgt)
     message = h_src * z_rel
     alpha = _tanh(_row_sum(message * (h_tgt * z_rel)))
     weighted = message * (alpha * graph.norm_coeff[:, None])
     return _scatter_add_rows(weighted, graph.edge_tgt, graph.num_entities), alpha.data[:, 0].copy()
 
 
+def reference_batch_scores(head, h, z, src_ids, rel_ids):
+    h_src = _gather_rows(h, src_ids)
+    z_rel = _gather_rows(z, rel_ids)
+    if head == "transe":
+        return _neg_l1_distance(h_src + z_rel, h)
+    return ad.matmul(h_src * z_rel, ad.transpose(h))
+
+
 def reference_bce_loss(scores, targets):
     pos = _log_sigmoid(scores) * targets
-    neg = _log_sigmoid(-scores) * (1.0 - targets)
-    return -_mean_all(pos + neg)
+    neg = _log_sigmoid(_neg(scores)) * (1.0 - targets)
+    return _neg(_mean_all(pos + neg))
 
 
-def _train(head, seed, use_reasoning, steps, monkeypatch=None):
+FUSED_LAYERS = ((hogrn.model, "aggregate", reference_aggregate),
+                (hogrn.training, "bce_loss", reference_bce_loss))
+SCORER = ((hogrn.training, "batch_scores", reference_batch_scores),)
+
+
+def _train(head, seed, use_reasoning, steps):
     """Losses, per-step gradients and final parameters of a few Adam steps."""
-    if monkeypatch is not None:
-        monkeypatch.setattr(hogrn.model, "aggregate", reference_aggregate)
-        monkeypatch.setattr(hogrn.training, "bce_loss", reference_bce_loss)
     store, vocab = rule_composition_kg(num_entities=60, seed=seed)
     graph = extend_triples(store, vocab)
     model = HoGRN(graph, dim=8, head=head, mask_ratio=0.3, use_reasoning=use_reasoning, seed=seed)
@@ -87,10 +124,12 @@ def _train(head, seed, use_reasoning, steps, monkeypatch=None):
     return losses, grads, model.params.state_dict()
 
 
-def _compare(monkeypatch, head, seed, use_reasoning, same):
+def _compare(monkeypatch, references, head, seed, use_reasoning, same):
     fused = _train(head, seed, use_reasoning, steps=4)
     with monkeypatch.context() as patch:
-        unfused = _train(head, seed, use_reasoning, steps=4, monkeypatch=patch)
+        for module, name, reference in references:
+            patch.setattr(module, name, reference)
+        unfused = _train(head, seed, use_reasoning, steps=4)
     same(np.array(fused[0]), np.array(unfused[0]), "loss")
     for step_fused, step_unfused in zip(fused[1], unfused[1]):
         assert step_fused.keys() == step_unfused.keys()
@@ -104,20 +143,30 @@ def _bitwise(a, b, name):
     assert np.array_equal(a, b), name
 
 
+def _close(a, b, name):
+    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15, err_msg=name)
+
+
 @pytest.mark.parametrize("seed", [0, 2])
 @pytest.mark.parametrize("head", ["distmult", "transe"])
 def test_fused_layers_match_the_unfused_tape_bitwise(monkeypatch, head, seed):
-    _compare(monkeypatch, head, seed, True, _bitwise)
+    _compare(monkeypatch, FUSED_LAYERS, head, seed, True, _bitwise)
 
 
 def test_without_reasoning_fused_layers_match_to_rounding(monkeypatch):
     # Z then feeds both layers directly; the unfused tape may deliver layer 1's
     # Z gradient before layer 2's, the fused nodes always after, so the sums
     # into Z agree only to rounding
-    def close(a, b, name):
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15, err_msg=name)
+    _compare(monkeypatch, FUSED_LAYERS, "distmult", 2, False, _close)
 
-    _compare(monkeypatch, "distmult", 2, False, close)
+
+@pytest.mark.parametrize("use_reasoning", [True, False])
+@pytest.mark.parametrize("seed", [0, 2])
+@pytest.mark.parametrize("head", ["distmult", "transe"])
+def test_batch_scores_match_the_unfused_tape(monkeypatch, head, seed, use_reasoning):
+    # DistMult makes the same products and sums, in the same order, bit for bit
+    _compare(monkeypatch, SCORER, head, seed, use_reasoning,
+             _bitwise if head == "distmult" else _close)
 
 
 def test_bce_loss_and_gradient_match_the_unfused_tape_bitwise():

@@ -39,31 +39,36 @@ def loop_reason(z, w1, w2, w3, w4):
     return out
 
 
+def masked_rows(masked):
+    """Ids of the zeroed rows of a mask applied to an all-ones input."""
+    return np.flatnonzero(np.all(masked.data == 0.0, axis=1))
+
+
 def test_mask_ratio_zero_is_identity_and_draws_nothing():
     z = Tensor(np.arange(6.0).reshape(3, 2))
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
-    masked, draw = mask_relations(z, 0.0, rng, self_loop_id=2)
+    masked = mask_relations(z, 0.0, rng, self_loop_id=2)
     assert masked is z
-    assert draw.masked_ids == ()
     assert rng.bit_generator.state == before
 
 
 def test_mask_zeroes_floor_of_ratio_times_maskable():
     # M' = 5 with one self-loop -> 4 maskable rows; ratio 0.5 masks exactly 2
     z = Tensor(np.ones((5, 3)))
-    masked, draw = mask_relations(z, 0.5, np.random.default_rng(1), self_loop_id=4)
-    assert len(draw.masked_ids) == 2
-    np.testing.assert_array_equal(masked.data[list(draw.masked_ids)], 0.0)
-    kept = [r for r in range(5) if r not in draw.masked_ids]
+    masked = mask_relations(z, 0.5, np.random.default_rng(1), self_loop_id=4)
+    zeroed = masked_rows(masked)
+    assert len(zeroed) == 2
+    np.testing.assert_array_equal(masked.data[zeroed], 0.0)
+    kept = [r for r in range(5) if r not in zeroed]
     np.testing.assert_array_equal(masked.data[kept], 1.0)
 
 
 def test_mask_count_rounds_stochastically_around_ratio_times_maskable():
     # M' = 7 with one self-loop -> 6 maskable rows; 0.1 * 6 = 0.6 rows on average
     z = Tensor(np.ones((7, 2)))
-    counts = np.array([len(mask_relations(z, 0.1, np.random.default_rng(seed),
-                                          self_loop_id=6)[1].masked_ids)
+    counts = np.array([len(masked_rows(mask_relations(z, 0.1, np.random.default_rng(seed),
+                                                      self_loop_id=6)))
                        for seed in range(2000)])
     assert set(counts.tolist()) == {0, 1}  # each draw within one row of 0.6
     # mean of 2000 Bernoulli(0.6) draws: standard error 0.011, tolerance ~4.5 of them
@@ -74,27 +79,28 @@ def test_mask_integer_count_consumes_generator_like_a_plain_choice():
     # 0.5 * 4 = 2 has no fractional part: no extra uniform is drawn
     z = Tensor(np.ones((5, 3)))
     rng = np.random.default_rng(1)
-    draw = mask_relations(z, 0.5, rng, self_loop_id=4)[1]
+    masked = mask_relations(z, 0.5, rng, self_loop_id=4)
     ref = np.random.default_rng(1)
     picked = np.sort(ref.choice(np.arange(4), size=2, replace=False))
-    assert draw.masked_ids == tuple(int(r) for r in picked)
+    np.testing.assert_array_equal(masked_rows(masked), picked)
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_mask_never_touches_self_loop_or_input():
     z = Tensor(np.ones((4, 2)))
     for seed in range(30):
-        masked, draw = mask_relations(z, 0.5, np.random.default_rng(seed), self_loop_id=1)
-        assert 1 not in draw.masked_ids
+        masked = mask_relations(z, 0.5, np.random.default_rng(seed), self_loop_id=1)
+        assert 1 not in masked_rows(masked)
         np.testing.assert_array_equal(z.data, 1.0)  # input untouched
         assert masked.data is not z.data
 
 
 def test_mask_draw_is_deterministic_per_seed():
     z = Tensor(np.ones((9, 2)))
-    a = mask_relations(z, 0.4, np.random.default_rng(7), self_loop_id=8)[1]
-    b = mask_relations(z, 0.4, np.random.default_rng(7), self_loop_id=8)[1]
-    assert a == b
+    a = mask_relations(z, 0.4, np.random.default_rng(7), self_loop_id=8)
+    b = mask_relations(z, 0.4, np.random.default_rng(7), self_loop_id=8)
+    np.testing.assert_array_equal(masked_rows(a), masked_rows(b))
+    np.testing.assert_array_equal(a.data, b.data)
 
 
 def test_mask_rejects_ratio_outside_range():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hogrn import autodiff as ad
+from hogrn import scoring
 from hogrn.autodiff import Tensor
 from hogrn.scoring import SCORE_HEADS, batch_scores, score_all_tails
 
@@ -96,14 +97,18 @@ def test_batch_scores_match_single_score_loop():
 
 
 def test_score_all_tails_matches_batch_row():
+    # training scores through the ranking code, so both agree to the last bit
     rng = np.random.default_rng(4)
     h = rng.normal(size=(6, 3))
     z = rng.normal(size=(5, 3))
+    src = np.array([2, 0, 5, 2, 1])
+    rel = np.array([3, 3, 1, 0, 4])
     for head in SCORE_HEADS:
-        fast = score_all_tails(head, h, z, src=2, rel=3)
+        block = batch_scores(head, Tensor(h.copy()), Tensor(z.copy()), src, rel).data
+        np.testing.assert_array_equal(score_all_tails(head, h, z, src, rel), block, err_msg=head)
         row = batch_scores(head, Tensor(h.copy()), Tensor(z.copy()),
                            np.array([2]), np.array([3])).data[0]
-        np.testing.assert_allclose(fast, row, atol=1e-12)
+        np.testing.assert_array_equal(score_all_tails(head, h, z, src=2, rel=3), row, err_msg=head)
 
 
 def test_score_all_tails_block_equals_stacked_scalar_calls():
@@ -159,31 +164,36 @@ def test_batch_scores_validates_index_ranges():
         batch_scores("distmult", h, z, np.array([0]), np.array([2]))
 
 
-def test_batch_scores_gradients_match_finite_differences():
+def test_batch_scores_gradients_match_finite_differences(monkeypatch):
     rng = np.random.default_rng(5)
     h0 = rng.normal(size=(5, 3)) + 0.1  # keep transe differences off the kink
     z0 = rng.normal(size=(4, 3))
-    src = np.array([0, 2])
-    rel = np.array([1, 3])
-    for head in SCORE_HEADS:
-        c = rng.normal(size=(2, 5))
+    distinct = (np.array([0, 2]), np.array([1, 3]))
+    repeated = (np.array([0, 2, 2, 4, 0]), np.array([1, 3, 1, 1, 3]))
+    # the default budget holds every query in one chunk of the TransE sign cube;
+    # 2 rows of 5 x 3 cells split the repeated batch into chunks of 2, 2 and 1
+    for cells in (scoring.SIGN_CUBE_CELLS, 2 * 5 * 3):
+        monkeypatch.setattr(scoring, "SIGN_CUBE_CELLS", cells)
+        for src, rel in (distinct, repeated):
+            for head in SCORE_HEADS:
+                c = rng.normal(size=(len(src), 5))
 
-        def loss(h_arr, z_arr):
-            return ad.sum_all(batch_scores(head, Tensor(h_arr), Tensor(z_arr), src, rel) * c)
+                def loss(h_arr, z_arr):
+                    return ad.sum_all(batch_scores(head, Tensor(h_arr), Tensor(z_arr), src, rel) * c)
 
-        h, z = Tensor(h0.copy()), Tensor(z0.copy())
-        ad.sum_all(batch_scores(head, h, z, src, rel) * c).backward()
-        eps = 1e-6
-        for leaf, arr in ((h, h0), (z, z0)):
-            flat = arr.reshape(-1)
-            numeric = np.zeros_like(flat)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + eps
-                f_plus = loss(h0, z0).item()
-                flat[i] = orig - eps
-                f_minus = loss(h0, z0).item()
-                flat[i] = orig
-                numeric[i] = (f_plus - f_minus) / (2 * eps)
-            np.testing.assert_allclose(leaf.grad.reshape(-1), numeric, atol=1e-6,
-                                       rtol=1e-5, err_msg=head)
+                h, z = Tensor(h0.copy()), Tensor(z0.copy())
+                ad.sum_all(batch_scores(head, h, z, src, rel) * c).backward()
+                eps = 1e-6
+                for leaf, arr in ((h, h0), (z, z0)):
+                    flat = arr.reshape(-1)
+                    numeric = np.zeros_like(flat)
+                    for i in range(flat.size):
+                        orig = flat[i]
+                        flat[i] = orig + eps
+                        f_plus = loss(h0, z0).item()
+                        flat[i] = orig - eps
+                        f_minus = loss(h0, z0).item()
+                        flat[i] = orig
+                        numeric[i] = (f_plus - f_minus) / (2 * eps)
+                    np.testing.assert_allclose(leaf.grad.reshape(-1), numeric, atol=1e-6,
+                                               rtol=1e-5, err_msg=f"{head}, {cells} cells")
