@@ -2,7 +2,7 @@
 
 Subcommands:
 
-* stats: dataset sizes and out-degree statistics
+* stats: dataset sizes, out-degree statistics and valid/test coverage missing from train
 * sparsify: uniformly drop training triples and write the reduced dataset
 * train: fit a model; writes checkpoint.npz and train_log.txt to --out
 * eval: filtered ranking metrics for a checkpoint on valid or test
@@ -95,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hogrn", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("stats", help="dataset sizes and degree statistics")
+    p = sub.add_parser("stats", help="dataset sizes, degree statistics and train coverage")
     p.add_argument("data_dir", nargs="?", help="dataset directory (default: $HOGRN_DATA)")
 
     p = sub.add_parser("sparsify", help="uniformly drop training triples")

@@ -293,6 +293,10 @@ class DegreeReport:
     median_out_degree: float
     avg_out_degree_incl_isolated: float
     median_out_degree_incl_isolated: float
+    entities_missing_from_train: int
+    relations_missing_from_train: int
+    valid_triples_with_missing: int
+    test_triples_with_missing: int
 
     @property
     def num_total(self) -> int:
@@ -310,6 +314,10 @@ class DegreeReport:
             "median_out_degree": self.median_out_degree,
             "avg_out_degree_incl_isolated": round(self.avg_out_degree_incl_isolated, 4),
             "median_out_degree_incl_isolated": self.median_out_degree_incl_isolated,
+            "entities_missing_from_train": self.entities_missing_from_train,
+            "relations_missing_from_train": self.relations_missing_from_train,
+            "valid_triples_with_missing": self.valid_triples_with_missing,
+            "test_triples_with_missing": self.test_triples_with_missing,
         }
 
     def lines(self) -> list[str]:
@@ -318,8 +326,33 @@ class DegreeReport:
         return [f"{k:<{width}}  {v}" for k, v in d.items()]
 
 
+def _train_coverage(train: np.ndarray, store: TripleStore, vocab: Vocabulary) -> dict[str, int]:
+    """Entities and relations absent from `train`, and the valid and test
+    triples of `store` that use at least one of them."""
+    seen_entities = np.zeros(vocab.num_entities, dtype=bool)
+    seen_relations = np.zeros(vocab.num_relations, dtype=bool)
+    if train.size:
+        seen_entities[train[:, 0]] = True
+        seen_entities[train[:, 2]] = True
+        seen_relations[train[:, 1]] = True
+
+    def n_with_missing(arr: np.ndarray) -> int:
+        if not arr.size:
+            return 0
+        bad = ~seen_entities[arr[:, 0]] | ~seen_entities[arr[:, 2]] | ~seen_relations[arr[:, 1]]
+        return int(bad.sum())
+
+    return {
+        "entities_missing_from_train": int((~seen_entities).sum()),
+        "relations_missing_from_train": int((~seen_relations).sum()),
+        "valid_triples_with_missing": n_with_missing(store.valid),
+        "test_triples_with_missing": n_with_missing(store.test),
+    }
+
+
 def degree_report(store: TripleStore, vocab: Vocabulary) -> DegreeReport:
-    """Sparsity statistics of the training split (out-degree based)."""
+    """Sparsity statistics of the training split (out-degree based) and the
+    valid/test coverage that training lacks."""
     counts = np.bincount(store.train[:, 0], minlength=vocab.num_entities) if store.train.size \
         else np.zeros(vocab.num_entities, dtype=np.int64)
     heads = counts[counts > 0]
@@ -333,6 +366,7 @@ def degree_report(store: TripleStore, vocab: Vocabulary) -> DegreeReport:
         median_out_degree=float(np.median(heads)) if heads.size else 0.0,
         avg_out_degree_incl_isolated=float(counts.mean()) if counts.size else 0.0,
         median_out_degree_incl_isolated=float(np.median(counts)) if counts.size else 0.0,
+        **_train_coverage(store.train, store, vocab),
     )
 
 
@@ -376,26 +410,6 @@ def sparsify_subset(store: TripleStore, keep_fraction: float, seed: int,
         rng = substream(seed, "sparsify")
         picked = np.sort(rng.choice(n_train, size=n_keep, replace=False))
         kept = store.train[picked]
-
-    seen_entities = np.zeros(vocab.num_entities, dtype=bool)
-    seen_relations = np.zeros(vocab.num_relations, dtype=bool)
-    if kept.size:
-        seen_entities[kept[:, 0]] = True
-        seen_entities[kept[:, 2]] = True
-        seen_relations[kept[:, 1]] = True
-
-    def n_with_missing(arr: np.ndarray) -> int:
-        if not arr.size:
-            return 0
-        bad = ~seen_entities[arr[:, 0]] | ~seen_entities[arr[:, 2]] | ~seen_relations[arr[:, 1]]
-        return int(bad.sum())
-
-    report = SparsifyReport(
-        kept_train=n_keep,
-        dropped_train=n_train - n_keep,
-        entities_missing_from_train=int((~seen_entities).sum()),
-        relations_missing_from_train=int((~seen_relations).sum()),
-        valid_triples_with_missing=n_with_missing(store.valid),
-        test_triples_with_missing=n_with_missing(store.test),
-    )
+    report = SparsifyReport(kept_train=n_keep, dropped_train=n_train - n_keep,
+                            **_train_coverage(kept, store, vocab))
     return TripleStore(kept, store.valid.copy(), store.test.copy()), report

@@ -5,7 +5,9 @@ and bilinear-diagonal (sum_i h_i * z_i * t_i). `score_all_tails` is the one
 definition of each head: it scores (head, relation) queries against every
 entity at once, with a GEMM for DistMult and `cdist` for TransE. Ranking
 calls it on plain arrays; training's `batch_scores` is one tape node whose
-forward is the same call and whose backward is written by hand.
+forward is the same call and whose backward is written by hand. The TransE
+backward needs the sign of every (query, entity, dimension) difference; it
+sums them as masked column blocks plus an exact-tie pass (`_l1_adjoints`).
 """
 from __future__ import annotations
 
@@ -16,8 +18,10 @@ from .autodiff import Tensor, _checked
 
 SCORE_HEADS = ("transe", "distmult")
 
-# float64 cells of one chunk of the (B, N, d) sign cube in the TransE backward
-SIGN_CUBE_CELLS = 4_000_000
+# entities per column block of the TransE backward (masked column blocks plus
+# an exact-tie pass): at B = 256 queries the block's slice of g, its bool mask
+# and the masked product (1 MB together) stay in L2 across all d dimensions
+ENTITY_BLOCK = 256
 
 
 def _check_ids(src_ids: np.ndarray, rel_ids: np.ndarray, num_entities: int, num_relations: int):
@@ -43,15 +47,7 @@ def batch_scores(head: str, h: Tensor, z: Tensor, src_ids, rel_ids) -> Tensor:
             d_tail = (query.T @ g).T
             d_src, d_rel = d_query * z_rel, d_query * h_src
         else:
-            query = h_src + z_rel
-            d_query = np.empty_like(query)
-            d_tail = np.zeros_like(h_d)
-            chunk = max(1, SIGN_CUBE_CELLS // max(1, h_d.size))
-            for lo in range(0, len(query), chunk):
-                hi = lo + chunk
-                weighted = g[lo:hi, :, None] * np.sign(query[lo:hi, None, :] - h_d[None, :, :])
-                d_query[lo:hi] = -weighted.sum(axis=1)
-                d_tail += weighted.sum(axis=0)
+            d_query, d_tail = _l1_adjoints(g, h_src + z_rel, h_d)
             d_src = d_rel = d_query
         # source rows first, then the tail side: DistMult's bitwise parity with the
         # gather/matmul tape in tests/test_fused_parity.py rests on this order
@@ -64,6 +60,57 @@ def batch_scores(head: str, h: Tensor, z: Tensor, src_ids, rel_ids) -> Tensor:
         z._accumulate_owned(grad_z)
 
     return Tensor(scores, (h, z), backward)
+
+
+def _l1_adjoints(g: np.ndarray, query: np.ndarray, h: np.ndarray):
+    """Adjoints (d_query, d_tail) of S = -cdist(query, h, "cityblock") for upstream g.
+
+    With s = sign(query[i, k] - h[j, k]): d_query[i, k] = -sum_j g[i, j] s and
+    d_tail[j, k] = sum_i g[i, j] s. Off ties s = 2 [query > h] - 1, so each
+    sum is twice a masked sum of g minus a row or column total of g. The
+    masked sums walk h in column blocks of ENTITY_BLOCK entities with one bool
+    mask per dimension, so no (B, N, d) array exists. An exact tie has s = 0
+    where the mask counts -1; a sorted search per dimension finds the tied
+    (query, entity) pairs and adds their g back on both sides.
+    """
+    num_queries, num_entities = g.shape
+    dim = h.shape[1]
+    h_cols = np.ascontiguousarray(h.T)
+    above_q = np.zeros((num_queries, dim))  # sum_j g[i, j] [query[i, k] > h[j, k]]
+    above_t = np.empty((num_entities, dim))  # sum_i of the same cells
+    mask = np.empty((num_queries, ENTITY_BLOCK), dtype=bool)
+    masked = np.empty((num_queries, ENTITY_BLOCK))
+    ones_q, ones_w = np.ones(num_queries), np.ones(ENTITY_BLOCK)
+    for lo in range(0, num_entities, ENTITY_BLOCK):
+        g_blk, h_blk = g[:, lo:lo + ENTITY_BLOCK], h_cols[:, lo:lo + ENTITY_BLOCK]
+        w = g_blk.shape[1]
+        m, buf, ones = mask[:, :w], masked[:, :w], ones_w[:w]
+        for k in range(dim):
+            np.greater(query[:, k, None], h_blk[k], out=m)
+            np.multiply(g_blk, m, out=buf)
+            above_q[:, k] += buf @ ones
+            above_t[lo:lo + w, k] = ones_q @ buf
+
+    tie_q = np.zeros_like(above_q)
+    tie_t = np.zeros_like(above_t)
+    sorted_h = np.sort(h_cols, axis=1)
+    for k in range(dim):
+        left = np.searchsorted(sorted_h[k], query[:, k], "left")
+        count = np.searchsorted(sorted_h[k], query[:, k], "right") - left
+        n_ties = int(count.sum())
+        if not n_ties:
+            continue
+        # tied pair t of query i sits at sorted position left[i] + (t - first pair of i)
+        rows = np.repeat(np.arange(num_queries), count)
+        offsets = np.repeat(left - np.cumsum(count) + count, count)
+        cols = np.argsort(h_cols[k])[offsets + np.arange(n_ties)]
+        vals = g[rows, cols]
+        tie_q[:, k] = np.bincount(rows, vals, num_queries)
+        tie_t[:, k] = np.bincount(cols, vals, num_entities)
+
+    d_query = g.sum(axis=1)[:, None] - 2.0 * above_q - tie_q
+    d_tail = 2.0 * above_t - g.sum(axis=0)[:, None] + tie_t
+    return d_query, d_tail
 
 
 def score_all_tails(head: str, h: np.ndarray, z: np.ndarray, src, rel) -> np.ndarray:

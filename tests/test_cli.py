@@ -39,6 +39,16 @@ def test_stats_prints_counts(six_dir, capsys):
     assert "avg_out_degree" in out and "median_out_degree" in out
 
 
+def test_stats_prints_coverage_missing_from_train(write_dataset, capsys):
+    data = write_dataset(SIX_TRAIN, SIX_VALID + [("a", "r9", "b")], SIX_TEST + [("g", "r1", "a")])
+    assert main(["stats", str(data)]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"^entities_missing_from_train\s+1$", out, re.M)
+    assert re.search(r"^relations_missing_from_train\s+1$", out, re.M)
+    assert re.search(r"^valid_triples_with_missing\s+1$", out, re.M)
+    assert re.search(r"^test_triples_with_missing\s+1$", out, re.M)
+
+
 def test_stats_env_fallback(six_dir, capsys, monkeypatch):
     monkeypatch.setenv("HOGRN_DATA", str(six_dir))
     assert main(["stats"]) == 0

@@ -193,6 +193,29 @@ def test_degree_report_counts(six_dataset):
     assert len(report.lines()) == len(report.as_dict())
 
 
+def test_degree_report_counts_valid_and_test_coverage_missing_from_train():
+    store, vocab = make_store(
+        train=[("a", "r", "b"), ("b", "r", "a")],
+        valid=[("a", "s", "b"), ("a", "r", "b")],  # relation s never trains
+        test=[("c", "r", "a"), ("b", "s", "d")],  # c and d never train; d with s
+    )
+    report = degree_report(store, vocab)
+    assert report.entities_missing_from_train == 2
+    assert report.relations_missing_from_train == 1
+    assert report.valid_triples_with_missing == 1
+    assert report.test_triples_with_missing == 2
+    d = report.as_dict()
+    assert (d["entities_missing_from_train"], d["relations_missing_from_train"],
+            d["valid_triples_with_missing"], d["test_triples_with_missing"]) == (2, 1, 1, 2)
+    assert len(report.lines()) == len(d)
+
+
+def test_degree_report_full_coverage_is_zero(six_dataset):
+    report = degree_report(*six_dataset)
+    assert (report.entities_missing_from_train, report.relations_missing_from_train,
+            report.valid_triples_with_missing, report.test_triples_with_missing) == (0, 0, 0, 0)
+
+
 def test_sparsify_floor_count():
     # floor(0.1 * 272115) = 27211 kept triples
     rng = np.random.default_rng(0)

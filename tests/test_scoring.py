@@ -170,10 +170,10 @@ def test_batch_scores_gradients_match_finite_differences(monkeypatch):
     z0 = rng.normal(size=(4, 3))
     distinct = (np.array([0, 2]), np.array([1, 3]))
     repeated = (np.array([0, 2, 2, 4, 0]), np.array([1, 3, 1, 1, 3]))
-    # the default budget holds every query in one chunk of the TransE sign cube;
-    # 2 rows of 5 x 3 cells split the repeated batch into chunks of 2, 2 and 1
-    for cells in (scoring.SIGN_CUBE_CELLS, 2 * 5 * 3):
-        monkeypatch.setattr(scoring, "SIGN_CUBE_CELLS", cells)
+    # the default width holds all 5 entities in one column block of the TransE
+    # backward; a width of 2 splits them into blocks of 2, 2 and 1
+    for width in (scoring.ENTITY_BLOCK, 2):
+        monkeypatch.setattr(scoring, "ENTITY_BLOCK", width)
         for src, rel in (distinct, repeated):
             for head in SCORE_HEADS:
                 c = rng.normal(size=(len(src), 5))
@@ -196,4 +196,40 @@ def test_batch_scores_gradients_match_finite_differences(monkeypatch):
                         flat[i] = orig
                         numeric[i] = (f_plus - f_minus) / (2 * eps)
                     np.testing.assert_allclose(leaf.grad.reshape(-1), numeric, atol=1e-6,
-                                               rtol=1e-5, err_msg=f"{head}, {cells} cells")
+                                               rtol=1e-5, err_msg=f"{head}, width {width}")
+
+
+def _sign_cube_grads(h, z, src, rel, c):
+    """Gradients of sum(c * S) for TransE from the full (B, N, d) float sign cube."""
+    weighted = c[:, :, None] * np.sign((h[src] + z[rel])[:, None, :] - h[None, :, :])
+    d_query = -weighted.sum(axis=1)
+    grad_h = weighted.sum(axis=0)
+    np.add.at(grad_h, src, d_query)
+    grad_z = np.zeros_like(z)
+    np.add.at(grad_z, rel, d_query)
+    return grad_h, grad_z
+
+
+@pytest.mark.parametrize("width", [None, 2])
+def test_transe_gradients_keep_sign_zero_at_exact_ties(monkeypatch, width):
+    # dyadic states and upstream gradients: every sum is exact, so the blocked
+    # masks plus the tie pass must give the sign cube's gradients bit for bit
+    if width is not None:
+        monkeypatch.setattr(scoring, "ENTITY_BLOCK", width)
+    rng = np.random.default_rng(8)
+    h = rng.integers(-4, 5, size=(5, 3)) / 4.0
+    z = rng.integers(-4, 5, size=(4, 3)) / 4.0
+    z[0] = 0.0  # relation 0 maps each source onto itself: a == h[src] in every dimension
+    h[3, :2] = h[1, :2] + z[2, :2]  # entity 3 shares two coordinates with query (1, 2)
+    h[4, 2] = h[0, 2] + z[1, 2]
+    src = np.array([0, 1, 2, 1, 4, 0])
+    rel = np.array([0, 2, 0, 0, 3, 1])
+    c = rng.integers(-8, 9, size=(len(src), 5)) / 8.0
+    q = h[src] + z[rel]
+    assert (q[:, None, :] == h[None, :, :]).sum() >= 15  # the ties really occur
+
+    ht, zt = Tensor(h.copy()), Tensor(z.copy())
+    ad.sum_all(batch_scores("transe", ht, zt, src, rel) * c).backward()
+    want_h, want_z = _sign_cube_grads(h, z, src, rel, c)
+    np.testing.assert_array_equal(ht.grad, want_h)
+    np.testing.assert_array_equal(zt.grad, want_z)
