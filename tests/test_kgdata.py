@@ -190,6 +190,8 @@ def test_degree_report_counts(six_dataset):
     assert report.num_relations == 3
     assert (report.num_train, report.num_valid, report.num_test) == (8, 2, 2)
     assert report.num_total == 12
+    assert (report.entities_missing_from_train, report.relations_missing_from_train,
+            report.valid_triples_with_missing, report.test_triples_with_missing) == (0, 0, 0, 0)
     assert len(report.lines()) == len(report.as_dict())
 
 
@@ -208,12 +210,6 @@ def test_degree_report_counts_valid_and_test_coverage_missing_from_train():
     assert (d["entities_missing_from_train"], d["relations_missing_from_train"],
             d["valid_triples_with_missing"], d["test_triples_with_missing"]) == (2, 1, 1, 2)
     assert len(report.lines()) == len(d)
-
-
-def test_degree_report_full_coverage_is_zero(six_dataset):
-    report = degree_report(*six_dataset)
-    assert (report.entities_missing_from_train, report.relations_missing_from_train,
-            report.valid_triples_with_missing, report.test_triples_with_missing) == (0, 0, 0, 0)
 
 
 def test_sparsify_floor_count():
