@@ -21,13 +21,13 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
 
-from .evaluation import build_filter_index, evaluate_split, filtered_rank, oracle_rank
+from .evaluation import DIRECTIONS, build_filter_index, evaluate_split, filtered_rank, oracle_rank
 from .explain import explain, to_dot, to_records
 from .kgdata import degree_report, export_dataset, extend_triples, load_dataset, sparsify_subset
 from .model import HoGRN
@@ -112,25 +112,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quiet", action="store_true", help="suppress per-epoch lines on stdout")
     p.add_argument("--ablation", choices=("hogrn-r",),
                    help="train the ablated model without relation reasoning")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--num-layers", type=int, dest="num_layers")
-    p.add_argument("--head", choices=("transe", "distmult"))
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--max-epochs", type=int, dest="max_epochs")
-    p.add_argument("--patience", type=int)
-    p.add_argument("--mask-ratio", type=float, dest="mask_ratio")
-    p.add_argument("--lambda-rel", type=float, dest="lambda_rel")
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--use-reasoning", action=argparse.BooleanOptionalAction, dest="use_reasoning")
-    p.add_argument("--direction", choices=("both", "tail"))
-    p.add_argument("--valid-every", type=int, dest="valid_every")
+    # one flag per training option; TrainConfig.validate checks the values
+    hints = get_type_hints(TrainConfig)
+    for option in fields(TrainConfig):
+        if option.name == "seed":
+            continue
+        flag = "--" + option.name.replace("_", "-")
+        if hints[option.name] is bool:
+            p.add_argument(flag, action=argparse.BooleanOptionalAction)
+        else:
+            p.add_argument(flag, type=hints[option.name])
 
     p = sub.add_parser("eval", help="filtered ranking metrics for a checkpoint")
     p.add_argument("checkpoint")
     p.add_argument("data_dir", nargs="?")
     p.add_argument("--split", choices=("valid", "test"), default="test")
-    p.add_argument("--direction", choices=("both", "tail"), default="both")
+    p.add_argument("--direction", choices=DIRECTIONS, default="both")
 
     p = sub.add_parser("explain", help="attention-weighted paths for one prediction")
     p.add_argument("checkpoint")
@@ -167,24 +164,19 @@ def _cmd_sparsify(args) -> int:
     return 0
 
 
-_TRAIN_OVERRIDES = ("dim", "num_layers", "head", "lr", "batch_size", "max_epochs",
-                    "patience", "mask_ratio", "lambda_rel", "temperature",
-                    "use_reasoning", "direction", "valid_every")
-
-
 def _cmd_train(args) -> int:
-    store, vocab = load_dataset(_resolve_data_dir(args.data_dir))
     options = parse_config_file(args.config) if args.config else {}
-    for name in _TRAIN_OVERRIDES:
-        value = getattr(args, name)
+    for option in fields(TrainConfig):
+        value = getattr(args, option.name)
         if value is not None:
-            options[name] = value
+            options[option.name] = value
     if args.ablation == "hogrn-r":
         if options.get("use_reasoning") is True:
             raise UsageError("--ablation hogrn-r conflicts with --use-reasoning")
         options["use_reasoning"] = False
-    config = replace(TrainConfig(seed=args.seed), **options)
+    config = TrainConfig(**options)
     config.validate()
+    store, vocab = load_dataset(_resolve_data_dir(args.data_dir))
     graph = extend_triples(store, vocab)
     model = config.build_model(graph)
     log_fn = None if args.quiet else print

@@ -14,7 +14,7 @@ so the extended relation count is M' = 2M + 1 and |T'| = 2|T_train| + N.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -66,11 +66,6 @@ class Vocabulary:
         if name not in self._entity_ids:
             raise KeyError(f"unknown entity: {name!r}")
         return self._entity_ids[name]
-
-    def relation_id(self, name: str) -> int:
-        if name not in self._relation_ids:
-            raise KeyError(f"unknown relation: {name!r}")
-        return self._relation_ids[name]
 
     def extended_relation_name(self, rid: int) -> str:
         """Name for an extended relation id (inverses suffixed, self-loop named)."""
@@ -321,9 +316,13 @@ class DegreeReport:
         }
 
     def lines(self) -> list[str]:
-        d = self.as_dict()
-        width = max(len(k) for k in d)
-        return [f"{k:<{width}}  {v}" for k, v in d.items()]
+        return _aligned_lines(self.as_dict())
+
+
+def _aligned_lines(items: dict) -> list[str]:
+    """One `key  value` line per item, with the values in one column."""
+    width = max(len(k) for k in items)
+    return [f"{k:<{width}}  {v}" for k, v in items.items()]
 
 
 def _train_coverage(train: np.ndarray, store: TripleStore, vocab: Vocabulary) -> dict[str, int]:
@@ -382,14 +381,7 @@ class SparsifyReport:
     test_triples_with_missing: int
 
     def lines(self) -> list[str]:
-        return [
-            f"kept_train                    {self.kept_train}",
-            f"dropped_train                 {self.dropped_train}",
-            f"entities_missing_from_train   {self.entities_missing_from_train}",
-            f"relations_missing_from_train  {self.relations_missing_from_train}",
-            f"valid_triples_with_missing    {self.valid_triples_with_missing}",
-            f"test_triples_with_missing     {self.test_triples_with_missing}",
-        ]
+        return _aligned_lines(asdict(self))
 
 
 def sparsify_subset(store: TripleStore, keep_fraction: float, seed: int,

@@ -30,8 +30,6 @@ class HoGRN:
         head: str = "distmult",
         mask_ratio: float = 0.1,
         use_reasoning: bool = True,
-        inter_hidden: int | None = None,
-        intra_hidden: int | None = None,
         seed: int = 0,
     ):
         if dim <= 0:
@@ -49,19 +47,18 @@ class HoGRN:
         self.num_entities = graph.num_entities
         self.num_relations = graph.num_relations
         self.self_loop_id = graph.self_loop_id
-        # mixing-block widths: relation-count for the inter step, 2*dim intra
-        self.inter_hidden = inter_hidden if inter_hidden is not None else self.num_relations
-        self.intra_hidden = intra_hidden if intra_hidden is not None else 2 * dim
         self.params = ParameterStore()
         rng = substream(seed, "init")
         self.params.add("entity_embedding", embedding_init(self.num_entities, dim, rng))
         self.params.add("relation_embedding", embedding_init(self.num_relations, dim, rng))
         if use_reasoning:
+            # mixing-block widths: M' for the inter-relation step, 2*dim intra
+            m = self.num_relations
             for layer in range(num_layers):
-                self.params.add(f"mixer{layer}_w1", xavier_init(self.num_relations, self.inter_hidden, rng))
-                self.params.add(f"mixer{layer}_w2", xavier_init(self.inter_hidden, self.num_relations, rng))
-                self.params.add(f"mixer{layer}_w3", xavier_init(dim, self.intra_hidden, rng))
-                self.params.add(f"mixer{layer}_w4", xavier_init(self.intra_hidden, dim, rng))
+                self.params.add(f"mixer{layer}_w1", xavier_init(m, m, rng))
+                self.params.add(f"mixer{layer}_w2", xavier_init(m, m, rng))
+                self.params.add(f"mixer{layer}_w3", xavier_init(dim, 2 * dim, rng))
+                self.params.add(f"mixer{layer}_w4", xavier_init(2 * dim, dim, rng))
 
     def mixer_weights(self, layer: int) -> MixerWeights:
         return MixerWeights(
@@ -98,16 +95,3 @@ class HoGRN:
         """Deterministic forward (no masking); plain arrays for ranking/explaining."""
         h, z, attentions = self.forward(training=False)
         return h.data.copy(), z.data.copy(), attentions
-
-    def config_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "num_layers": self.num_layers,
-            "head": self.head,
-            "mask_ratio": self.mask_ratio,
-            "use_reasoning": self.use_reasoning,
-            "inter_hidden": self.inter_hidden,
-            "intra_hidden": self.intra_hidden,
-            "num_entities": self.num_entities,
-            "num_relations": self.num_relations,
-        }

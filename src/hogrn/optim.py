@@ -93,24 +93,26 @@ class ParameterStore:
             p.grad = None
 
 
+# Adam's moment decay rates and denominator floor, at Kingma and Ba's defaults
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class Adam:
     """Adam with bias correction; gradients are zeroed after each step."""
 
-    def __init__(self, store: ParameterStore, lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, store: ParameterStore, lr: float = 1e-3):
         self.store = store
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
 
     def step(self):
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - ADAM_BETA1 ** self.t
+        bc2 = 1.0 - ADAM_BETA2 ** self.t
         for name, p in self.store.items():
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
             if not np.all(np.isfinite(g)):
@@ -118,13 +120,13 @@ class Adam:
             if name not in self.m:
                 self.m[name] = np.zeros_like(p.data)
                 self.v[name] = np.zeros_like(p.data)
-            self.m[name] *= self.beta1
-            self.m[name] += (1.0 - self.beta1) * g
-            self.v[name] *= self.beta2
-            self.v[name] += (1.0 - self.beta2) * (g * g)
+            self.m[name] *= ADAM_BETA1
+            self.m[name] += (1.0 - ADAM_BETA1) * g
+            self.v[name] *= ADAM_BETA2
+            self.v[name] += (1.0 - ADAM_BETA2) * (g * g)
             m_hat = self.m[name] / bc1
             v_hat = self.v[name] / bc2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         self.store.zero_grad()
 
     def state_dict(self) -> dict:

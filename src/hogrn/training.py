@@ -19,13 +19,16 @@ from scipy.special import expit, log_expit
 from . import autodiff as ad
 from .autodiff import Tensor, _checked
 from .evaluation import DIRECTIONS, build_filter_index, evaluate_split
-from .kgdata import ExtendedGraph, TripleStore, Vocabulary, group_answers
+from .kgdata import ExtendedGraph, TripleStore, Vocabulary, extend_triples, group_answers
 from .model import HoGRN
 from .optim import Adam
 from .scoring import SCORE_HEADS, batch_scores
 from .seeding import substream
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+
+# the TrainConfig fields a HoGRN is built from and keeps as attributes
+_MODEL_FIELDS = ("dim", "num_layers", "head", "mask_ratio", "use_reasoning")
 
 
 @dataclass
@@ -76,15 +79,7 @@ class TrainConfig:
 
     def build_model(self, graph: ExtendedGraph) -> HoGRN:
         self.validate()
-        return HoGRN(
-            graph,
-            dim=self.dim,
-            num_layers=self.num_layers,
-            head=self.head,
-            mask_ratio=self.mask_ratio,
-            use_reasoning=self.use_reasoning,
-            seed=self.seed,
-        )
+        return HoGRN(graph, seed=self.seed, **{name: getattr(self, name) for name in _MODEL_FIELDS})
 
 
 @dataclass
@@ -278,23 +273,28 @@ def fit(
 
 def save_checkpoint(path, model: HoGRN, optimizer: Adam, vocab: Vocabulary,
                     config: TrainConfig, extra: dict | None = None):
-    """Write parameters, optimizer moments, and a JSON manifest to one .npz."""
+    """Write parameters, optimizer moments, and a JSON manifest to one .npz.
+
+    Restoring rebuilds the model and optimizer from `config` alone, so a
+    model or optimizer that `config` does not describe is refused.
+    """
+    built = {name: getattr(model, name) for name in _MODEL_FIELDS} | {"lr": optimizer.lr}
+    for name, value in built.items():
+        if value != getattr(config, name):
+            raise ValueError(f"cannot save: {name} is {value!r} but config says "
+                             f"{getattr(config, name)!r}")
+    moments = optimizer.state_dict()
     manifest = {
         "version": CHECKPOINT_VERSION,
-        "model": model.config_dict(),
         "train_config": config.as_dict(),
-        "optimizer": {"lr": optimizer.lr, "beta1": optimizer.beta1,
-                      "beta2": optimizer.beta2, "eps": optimizer.eps, "t": optimizer.t},
+        "optimizer": {"t": moments["t"]},
         "vocab_digest": vocab.digest(),
         "extra": extra or {},
     }
     arrays = {"manifest": np.array(json.dumps(manifest, sort_keys=True))}
-    for name, p in model.params.items():
-        arrays[f"param/{name}"] = p.data
-    for name, m in optimizer.m.items():
-        arrays[f"adam_m/{name}"] = m
-    for name, v in optimizer.v.items():
-        arrays[f"adam_v/{name}"] = v
+    for prefix, state in (("param", model.params.state_dict()),
+                          ("adam_m", moments["m"]), ("adam_v", moments["v"])):
+        arrays.update({f"{prefix}/{name}": value for name, value in state.items()})
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
 
@@ -310,7 +310,7 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
 
 
 def restore_model(path, store: TripleStore, vocab: Vocabulary) -> tuple[HoGRN, Adam, dict]:
-    """Rebuild the model and optimizer from a checkpoint and a dataset.
+    """Rebuild the model and optimizer from a checkpoint's `train_config` and a dataset.
 
     Raises ValueError if the dataset's vocabulary does not match the digest
     recorded at save time (ids would silently disagree otherwise).
@@ -318,28 +318,14 @@ def restore_model(path, store: TripleStore, vocab: Vocabulary) -> tuple[HoGRN, A
     manifest, arrays = load_checkpoint(path)
     if manifest["vocab_digest"] != vocab.digest():
         raise ValueError("checkpoint was trained on a different dataset (vocabulary digest mismatch)")
-    cfg = manifest["model"]
-    graph = ExtendedGraph(store.train, vocab.num_entities, vocab.num_relations)
-    if graph.num_relations != cfg["num_relations"] or graph.num_entities != cfg["num_entities"]:
-        raise ValueError("checkpoint graph dimensions do not match the dataset")
-    model = HoGRN(
-        graph,
-        dim=cfg["dim"],
-        num_layers=cfg["num_layers"],
-        head=cfg["head"],
-        mask_ratio=cfg["mask_ratio"],
-        use_reasoning=cfg["use_reasoning"],
-        inter_hidden=cfg["inter_hidden"],
-        intra_hidden=cfg["intra_hidden"],
-    )
-    model.params.load_state_dict(
-        {k[len("param/"):]: v for k, v in arrays.items() if k.startswith("param/")})
-    opt_cfg = manifest["optimizer"]
-    optimizer = Adam(model.params, lr=opt_cfg["lr"], beta1=opt_cfg["beta1"],
-                     beta2=opt_cfg["beta2"], eps=opt_cfg["eps"])
-    optimizer.load_state_dict({
-        "t": opt_cfg["t"],
-        "m": {k[len("adam_m/"):]: v for k, v in arrays.items() if k.startswith("adam_m/")},
-        "v": {k[len("adam_v/"):]: v for k, v in arrays.items() if k.startswith("adam_v/")},
-    })
+
+    def stored(prefix: str) -> dict[str, np.ndarray]:
+        return {k[len(prefix) + 1:]: v for k, v in arrays.items() if k.startswith(prefix + "/")}
+
+    config = TrainConfig(**manifest["train_config"])
+    model = config.build_model(extend_triples(store, vocab))
+    model.params.load_state_dict(stored("param"))
+    optimizer = Adam(model.params, lr=config.lr)
+    optimizer.load_state_dict({"t": manifest["optimizer"]["t"],
+                               "m": stored("adam_m"), "v": stored("adam_v")})
     return model, optimizer, manifest

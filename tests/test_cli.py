@@ -1,12 +1,14 @@
 """End-to-end CLI tests, run in process through main(argv)."""
 import json
 import re
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
 from hogrn.cli import main, parse_config_file
 from hogrn.kgdata import load_dataset
+from hogrn.training import TrainConfig
 
 SIX_TRAIN = [
     ("a", "r1", "b"), ("b", "r2", "c"), ("c", "r3", "d"), ("d", "r1", "e"),
@@ -144,6 +146,32 @@ def test_parse_config_file_types(tmp_path):
     assert options == {"dim": 8, "lr": 0.3, "use_reasoning": False, "head": "transe"}
 
 
+def test_every_training_option_has_a_train_flag(six_dir, tmp_path, capsys):
+    # each value differs from the TrainConfig default, so a dropped flag shows
+    values = {"dim": 3, "num_layers": 1, "head": "transe", "lr": 0.02, "batch_size": 5,
+              "max_epochs": 2, "patience": 7, "mask_ratio": 0.2, "lambda_rel": 0.3,
+              "temperature": 0.5, "use_reasoning": False, "direction": "tail",
+              "valid_every": 2}
+    assert set(values) == {f.name for f in fields(TrainConfig)} - {"seed"}
+    argv = ["train", str(six_dir), "--seed", "4", "--quiet", "--out", str(tmp_path)]
+    for name, value in values.items():
+        flag = "--" + name.replace("_", "-")
+        if isinstance(value, bool):
+            argv.append(flag if value else "--no-" + flag[2:])
+        else:
+            argv += [flag, str(value)]
+    assert main(argv) == 0
+    recorded = manifest_of(tmp_path / "checkpoint.npz")["train_config"]
+    assert recorded == {**asdict(TrainConfig()), **values, "seed": 4}
+
+
+def test_train_rejects_bad_option_values(six_dir, capsys):
+    assert main(["train", str(six_dir), "--seed", "0", "--head", "bogus"]) == 1
+    assert "head must be one of" in capsys.readouterr().err
+    assert main(["train", str(six_dir), "--seed", "0", "--direction", "sideways"]) == 1
+    assert "direction must be one of" in capsys.readouterr().err
+
+
 def test_train_requires_seed(six_dir, capsys):
     assert main(["train", str(six_dir)]) == 1
 
@@ -158,7 +186,7 @@ def test_ablation_flag(six_dir, tmp_path, capsys):
     assert params == ["param/entity_embedding", "param/relation_embedding"]
     manifest = manifest_of(out / "checkpoint.npz")
     assert manifest["extra"]["ablation"] == "hogrn-r"
-    assert manifest["model"]["use_reasoning"] is False
+    assert manifest["train_config"]["use_reasoning"] is False
 
 
 def test_ablation_conflicts_with_use_reasoning(six_dir, capsys):
@@ -254,7 +282,9 @@ def test_selfcheck_catches_injected_fault(capsys):
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
-    assert "Subcommands" in capsys.readouterr().out or True
+    out = capsys.readouterr().out
+    for command in ("stats", "sparsify", "train", "eval", "explain", "selfcheck"):
+        assert re.search(rf"^\s+{command}\s", out, re.M), command
 
 
 def test_unknown_subcommand_is_user_error(capsys):

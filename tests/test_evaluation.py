@@ -72,7 +72,7 @@ def test_build_filter_index_spans_all_splits_and_inverses():
         train=[("a", "r", "b")], valid=[("a", "r", "c")], test=[("b", "r", "a")])
     index = build_filter_index(store, vocab)
     a, b, c = (vocab.entity_id(e) for e in "abc")
-    r, m = vocab.relation_id("r"), vocab.num_relations
+    r, m = vocab.relations.index("r"), vocab.num_relations
     np.testing.assert_array_equal(index[(a, r)], sorted([b, c]))
     np.testing.assert_array_equal(index[(b, r + m)], [a])
     np.testing.assert_array_equal(index[(c, r + m)], [a])

@@ -13,9 +13,9 @@ def test_parameter_shapes_and_census(six_graph):
     assert len(model.params) == 2 + 4 * 2
     for layer in range(2):
         w = model.mixer_weights(layer)
-        assert w.w1.shape == (7, 7)   # inter width defaults to M'
+        assert w.w1.shape == (7, 7)   # inter width is M'
         assert w.w2.shape == (7, 7)
-        assert w.w3.shape == (4, 8)   # intra width defaults to 2d
+        assert w.w3.shape == (4, 8)   # intra width is 2d
         assert w.w4.shape == (8, 4)
 
 
@@ -69,11 +69,16 @@ def test_same_seed_same_parameters(six_graph):
                               c.params["entity_embedding"].data)
 
 
-def test_custom_mixer_widths(six_graph):
-    model = HoGRN(six_graph, dim=4, inter_hidden=3, intra_hidden=5)
-    w = model.mixer_weights(0)
-    assert w.w1.shape == (7, 3)
-    assert w.w3.shape == (4, 5)
+def test_mixer_widths_are_relation_count_and_twice_dim(six_graph):
+    m = six_graph.num_relations
+    for dim in (3, 5):
+        model = HoGRN(six_graph, dim=dim, num_layers=2, head="transe")
+        for layer in range(2):
+            w = model.mixer_weights(layer)
+            assert w.w1.shape == (m, m)
+            assert w.w2.shape == (m, m)
+            assert w.w3.shape == (dim, 2 * dim)
+            assert w.w4.shape == (2 * dim, dim)
 
 
 def test_constructor_validation(six_graph):
@@ -83,16 +88,3 @@ def test_constructor_validation(six_graph):
         HoGRN(six_graph, dim=2, num_layers=0)
     with pytest.raises(ValueError, match="mask_ratio"):
         HoGRN(six_graph, dim=2, mask_ratio=1.0)
-
-
-def test_config_dict_round_trips_construction(six_graph):
-    model = HoGRN(six_graph, dim=5, num_layers=2, head="transe", mask_ratio=0.25,
-                  inter_hidden=6, intra_hidden=9)
-    cfg = model.config_dict()
-    assert cfg["dim"] == 5
-    assert cfg["head"] == "transe"
-    assert cfg["mask_ratio"] == 0.25
-    assert cfg["inter_hidden"] == 6
-    assert cfg["intra_hidden"] == 9
-    assert cfg["num_entities"] == 6
-    assert cfg["num_relations"] == 7

@@ -6,9 +6,9 @@ from hogrn.synthetic import rule_composition_kg
 
 
 def split_by_relation(store, vocab):
-    r1 = vocab.relation_id("r1")
-    r2 = vocab.relation_id("r2")
-    r3 = vocab.relation_id("r3")
+    r1 = vocab.relations.index("r1")
+    r2 = vocab.relations.index("r2")
+    r3 = vocab.relations.index("r3")
     train = store.train
     return {
         "r1": {tuple(t) for t in train[train[:, 1] == r1]},
@@ -32,7 +32,7 @@ def test_default_sizes():
 def test_r3_is_exactly_the_two_hop_closure():
     store, vocab = rule_composition_kg(num_entities=60, seed=3)
     parts = split_by_relation(store, vocab)
-    r3 = vocab.relation_id("r3")
+    r3 = vocab.relations.index("r3")
     succ1 = {}
     for s, _, t in parts["r1"]:
         succ1.setdefault(s, set()).add(t)

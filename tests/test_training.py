@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hogrn.evaluation import build_filter_index, evaluate_split
 from hogrn.kgdata import extend_triples
 from hogrn.model import HoGRN
 from hogrn.scoring import batch_scores
+from hogrn.seeding import substream
 from hogrn.synthetic import rule_composition_kg
 from hogrn.training import (
     EpochLog,
@@ -295,7 +297,7 @@ def test_valid_every_skips_validation_epochs():
 def test_checkpoint_round_trip_reproduces_evaluation(tmp_path):
     store, vocab = five_entity_dataset()
     cfg = TrainConfig(dim=6, lr=0.01, batch_size=16, max_epochs=5, patience=100,
-                      mask_ratio=0.0, seed=2)
+                      mask_ratio=0.1, seed=2)
     model = cfg.build_model(extend_triples(store, vocab))
     result, optimizer = fit(model, store, vocab, cfg)
     path = tmp_path / "ckpt.npz"
@@ -303,9 +305,14 @@ def test_checkpoint_round_trip_reproduces_evaluation(tmp_path):
 
     restored, opt2, manifest = restore_model(path, store, vocab)
     assert manifest["extra"]["note"] == 1
+    assert manifest["train_config"] == cfg.as_dict()
+    assert opt2.lr == optimizer.lr
     assert opt2.t == optimizer.t
+    assert sorted(opt2.m) == sorted(opt2.v) == sorted(optimizer.m) == sorted(model.params.names())
     for name in model.params.names():
         np.testing.assert_array_equal(model.params[name].data, restored.params[name].data)
+        np.testing.assert_array_equal(opt2.m[name], optimizer.m[name])
+        np.testing.assert_array_equal(opt2.v[name], optimizer.v[name])
 
     index = build_filter_index(store, vocab)
     h1, z1, _ = model.eval_states()
@@ -313,6 +320,33 @@ def test_checkpoint_round_trip_reproduces_evaluation(tmp_path):
     a = evaluate_split(model.head, h1, z1, store.test, index, vocab.num_relations)
     b = evaluate_split(restored.head, h2, z2, store.test, index, vocab.num_relations)
     assert a.as_dict() == b.as_dict()
+
+    # one more training step, as fit takes it, lands on the same bits either way
+    queries = build_queries(model.graph)
+    batch = np.arange(min(cfg.batch_size, len(queries)))
+    before = model.params.state_dict()
+    for net, opt in ((model, optimizer), (restored, opt2)):
+        net.params.zero_grad()
+        batch_loss(net, queries, batch, substream(cfg.seed, "masking"),
+                   cfg.lambda_rel, cfg.temperature).backward()
+        opt.step()
+    assert not np.array_equal(before["entity_embedding"], model.params["entity_embedding"].data)
+    for name in model.params.names():
+        np.testing.assert_array_equal(model.params[name].data, restored.params[name].data)
+
+
+def test_save_checkpoint_refuses_a_config_that_does_not_describe_the_run(tmp_path):
+    store, vocab = five_entity_dataset()
+    cfg = TrainConfig(dim=4, max_epochs=1, seed=0)
+    model = cfg.build_model(extend_triples(store, vocab))
+    _, optimizer = fit(model, store, vocab, cfg)
+    others = {"dim": 5, "num_layers": 3, "head": "transe", "mask_ratio": 0.3,
+              "use_reasoning": False, "lr": 0.5}
+    for name, value in others.items():
+        with pytest.raises(ValueError, match=f"{name} is"):
+            save_checkpoint(tmp_path / "ckpt.npz", model, optimizer, vocab,
+                            replace(cfg, **{name: value}))
+    assert not (tmp_path / "ckpt.npz").exists()
 
 
 def test_checkpoint_rejects_wrong_dataset(tmp_path):
@@ -340,9 +374,12 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
     with np.load(path) as npz:
         arrays = {k: npz[k] for k in npz.files}
         manifest = json.loads(str(npz["manifest"][()]))
-    manifest["version"] = 99
-    arrays["manifest"] = np.array(json.dumps(manifest))
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
-    with pytest.raises(ValueError, match="unsupported checkpoint version"):
-        load_checkpoint(path)
+    for version in (1, 99):
+        manifest["version"] = version
+        arrays["manifest"] = np.array(json.dumps(manifest))
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        with pytest.raises(ValueError, match="unsupported checkpoint version"):
+            load_checkpoint(path)
+        with pytest.raises(ValueError, match="unsupported checkpoint version"):
+            restore_model(path, store, vocab)
