@@ -7,7 +7,8 @@ entity at once, with a GEMM for DistMult and `cdist` for TransE. Ranking
 calls it on plain arrays; training's `batch_scores` is one tape node whose
 forward is the same call and whose backward is written by hand. The TransE
 backward needs the sign of every (query, entity, dimension) difference; it
-sums them as masked column blocks plus an exact-tie pass (`_l1_adjoints`).
+sums them as float-masked column blocks plus an exact-tie pass
+(`_l1_adjoints`).
 """
 from __future__ import annotations
 
@@ -19,8 +20,8 @@ from .autodiff import Tensor, _checked
 SCORE_HEADS = ("transe", "distmult")
 
 # entities per column block of the TransE backward (masked column blocks plus
-# an exact-tie pass): at B = 256 queries the block's slice of g, its bool mask
-# and the masked product (1 MB together) stay in L2 across all d dimensions
+# an exact-tie pass): at B = 256 queries the block's slice of g and its float
+# mask buffer (1 MB together) stay in L2 across all d dimensions
 ENTITY_BLOCK = 256
 
 
@@ -68,26 +69,27 @@ def _l1_adjoints(g: np.ndarray, query: np.ndarray, h: np.ndarray):
     With s = sign(query[i, k] - h[j, k]): d_query[i, k] = -sum_j g[i, j] s and
     d_tail[j, k] = sum_i g[i, j] s. Off ties s = 2 [query > h] - 1, so each
     sum is twice a masked sum of g minus a row or column total of g. The
-    masked sums walk h in column blocks of ENTITY_BLOCK entities with one bool
-    mask per dimension, so no (B, N, d) array exists. An exact tie has s = 0
-    where the mask counts -1; a sorted search per dimension finds the tied
-    (query, entity) pairs and adds their g back on both sides.
+    masked sums walk h in column blocks of ENTITY_BLOCK entities with one 0/1
+    float mask per dimension, multiplied by g in place, so no (B, N, d) array
+    exists. An exact tie has s = 0 where the mask counts -1; a sorted search
+    per dimension finds the tied (query, entity) pairs and adds their g back
+    on both sides.
     """
     num_queries, num_entities = g.shape
     dim = h.shape[1]
     h_cols = np.ascontiguousarray(h.T)
     above_q = np.zeros((num_queries, dim))  # sum_j g[i, j] [query[i, k] > h[j, k]]
     above_t = np.empty((num_entities, dim))  # sum_i of the same cells
-    mask = np.empty((num_queries, ENTITY_BLOCK), dtype=bool)
     masked = np.empty((num_queries, ENTITY_BLOCK))
     ones_q, ones_w = np.ones(num_queries), np.ones(ENTITY_BLOCK)
     for lo in range(0, num_entities, ENTITY_BLOCK):
         g_blk, h_blk = g[:, lo:lo + ENTITY_BLOCK], h_cols[:, lo:lo + ENTITY_BLOCK]
         w = g_blk.shape[1]
-        m, buf, ones = mask[:, :w], masked[:, :w], ones_w[:w]
+        buf, ones = masked[:, :w], ones_w[:w]
         for k in range(dim):
-            np.greater(query[:, k, None], h_blk[k], out=m)
-            np.multiply(g_blk, m, out=buf)
+            # the 0/1 float mask times g gives the bits of g times the cast bool
+            np.greater(query[:, k, None], h_blk[k], out=buf)
+            np.multiply(g_blk, buf, out=buf)
             above_q[:, k] += buf @ ones
             above_t[lo:lo + w, k] = ones_q @ buf
 

@@ -200,7 +200,8 @@ def fit(
 
     Validation uses the filtered MRR on the valid split in the configured
     direction mode. Training stops after `patience` validations without
-    improvement, and the best-scoring parameters are restored.
+    improvement, and the best-scoring parameters are restored together with
+    the optimizer state they were reached with.
     """
     config.validate()
     if model.head != config.head:
@@ -215,6 +216,7 @@ def fit(
 
     result = TrainResult(best_val_mrr=-np.inf)
     best_state: dict[str, np.ndarray] | None = None
+    best_moments: dict | None = None
     stale = 0
 
     for epoch in range(1, config.max_epochs + 1):
@@ -248,6 +250,7 @@ def fit(
                 result.best_val_mrr = val_mrr
                 result.best_epoch = epoch
                 best_state = model.params.state_dict()
+                best_moments = optimizer.state_dict()
                 stale = 0
             else:
                 stale += 1
@@ -268,6 +271,7 @@ def fit(
 
     if best_state is not None:
         model.params.load_state_dict(best_state)
+        optimizer.load_state_dict(best_moments)
     return result, optimizer
 
 

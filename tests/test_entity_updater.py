@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import hogrn.entity_updater
 from hogrn import autodiff as ad
 from hogrn.autodiff import Tensor
 from hogrn.entity_updater import aggregate
@@ -11,6 +12,9 @@ from hogrn.kgdata import ExtendedGraph, extend_triples
 from conftest import make_store
 
 TANH_2 = 0.9640275800758169
+# six_graph has 22 edges (8 raw, 8 inverse, 6 self-loops) and fits in one
+# default edge block; blocks of 7 end inside each section, the last holds one edge
+SMALL_EDGE_BLOCK = 7
 
 
 def compose(h, z):
@@ -167,6 +171,15 @@ def test_aggregate_consumes_only_the_two_state_tensors(six_graph):
 
 
 def test_aggregate_gradients_match_finite_differences(six_graph):
+    _check_gradients_by_finite_differences(six_graph)
+
+
+def test_aggregate_gradients_match_finite_differences_in_small_edge_blocks(monkeypatch, six_graph):
+    monkeypatch.setattr(hogrn.entity_updater, "EDGE_BLOCK", SMALL_EDGE_BLOCK)
+    _check_gradients_by_finite_differences(six_graph)
+
+
+def _check_gradients_by_finite_differences(six_graph):
     rng = np.random.default_rng(8)
     h0 = rng.normal(size=(6, 4))
     z0 = rng.normal(size=(7, 4))
@@ -213,3 +226,18 @@ def test_aggregate_rejects_overflow_that_saturates_attention(six_graph):
         np.add.at(h_next, six_graph.edge_tgt, m * (alpha * six_graph.norm_coeff)[:, None])
     assert not np.all(np.isfinite(pre))
     assert np.all(np.isfinite(h_next)) and np.all(np.isfinite(alpha))
+
+
+def test_aggregate_rejects_overflow_in_a_later_edge_block(monkeypatch, six_graph):
+    # only the self-loop of entity 5, the graph's last edge, squares 1e200
+    monkeypatch.setattr(hogrn.entity_updater, "EDGE_BLOCK", SMALL_EDGE_BLOCK)
+    h = np.ones((6, 3))
+    h[5] = 1e200
+    z = np.ones((7, 3))
+    with np.errstate(over="ignore"):
+        pre = ((h[six_graph.edge_src] * z[six_graph.edge_rel])
+               * (h[six_graph.edge_tgt] * z[six_graph.edge_rel])).sum(axis=1)
+        with pytest.raises(FloatingPointError, match="op 'aggregate'"):
+            aggregate(Tensor(h), Tensor(z), six_graph)
+    assert np.flatnonzero(~np.isfinite(pre)).tolist() == [six_graph.num_edges - 1]
+    assert (six_graph.num_edges - 1) // SMALL_EDGE_BLOCK > 0

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.special import expit, log_expit
 
+import hogrn.entity_updater
 import hogrn.model
 import hogrn.training
 from hogrn import autodiff as ad
@@ -102,6 +103,10 @@ def reference_bce_loss(scores, targets):
 FUSED_LAYERS = ((hogrn.model, "aggregate", reference_aggregate),
                 (hogrn.training, "bce_loss", reference_bce_loss))
 SCORER = ((hogrn.training, "batch_scores", reference_batch_scores),)
+# a planted-rule graph (370 or 374 edges) fits in one default edge block; blocks
+# of 7 edges end inside its raw, inverse and self-loop sections on both seeds,
+# and its last block is partial
+SMALL_EDGE_BLOCK = 7
 
 
 def _train(head, seed, use_reasoning, steps):
@@ -153,10 +158,22 @@ def test_fused_layers_match_the_unfused_tape_bitwise(monkeypatch, head, seed):
     _compare(monkeypatch, FUSED_LAYERS, head, seed, True, _bitwise)
 
 
+@pytest.mark.parametrize("seed", [0, 2])
+@pytest.mark.parametrize("head", ["distmult", "transe"])
+def test_fused_layers_match_the_unfused_tape_bitwise_in_small_edge_blocks(monkeypatch, head, seed):
+    monkeypatch.setattr(hogrn.entity_updater, "EDGE_BLOCK", SMALL_EDGE_BLOCK)
+    _compare(monkeypatch, FUSED_LAYERS, head, seed, True, _bitwise)
+
+
 def test_without_reasoning_fused_layers_match_to_rounding(monkeypatch):
     # Z then feeds both layers directly; the unfused tape may deliver layer 1's
     # Z gradient before layer 2's, the fused nodes always after, so the sums
     # into Z agree only to rounding
+    _compare(monkeypatch, FUSED_LAYERS, "distmult", 2, False, _close)
+
+
+def test_without_reasoning_fused_layers_match_to_rounding_in_small_edge_blocks(monkeypatch):
+    monkeypatch.setattr(hogrn.entity_updater, "EDGE_BLOCK", SMALL_EDGE_BLOCK)
     _compare(monkeypatch, FUSED_LAYERS, "distmult", 2, False, _close)
 
 

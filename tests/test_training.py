@@ -253,6 +253,24 @@ def test_fit_early_stops_and_restores_best_state():
     assert result.epochs_run == 1 + cfg.patience
 
 
+def test_fit_returns_the_optimizer_state_of_the_best_epoch():
+    # on this seed the first of four epochs validates best; three batches per epoch
+    store, vocab = rule_composition_kg(num_entities=60, seed=0)
+    cfg = TrainConfig(dim=8, lr=0.01, batch_size=64, max_epochs=4, patience=100, seed=0)
+    result, optimizer = fit(cfg.build_model(extend_triples(store, vocab)), store, vocab, cfg)
+    assert result.best_epoch < result.epochs_run
+    # the same run cut at the best epoch ends in the state the snapshot holds
+    short = replace(cfg, max_epochs=result.best_epoch)
+    graph = extend_triples(store, vocab)
+    _, snapshot = fit(short.build_model(graph), store, vocab, short)
+    batches = math.ceil(len(build_queries(graph)) / cfg.batch_size)
+    assert optimizer.t == snapshot.t == result.best_epoch * batches
+    assert optimizer.m.keys() == snapshot.m.keys() == optimizer.v.keys()
+    for name in snapshot.m:
+        assert np.array_equal(optimizer.m[name], snapshot.m[name]), name
+        assert np.array_equal(optimizer.v[name], snapshot.v[name]), name
+
+
 def test_fit_validates_inputs(six_dataset, six_graph):
     store, vocab = six_dataset
     model = HoGRN(six_graph, dim=3, head="transe", mask_ratio=0.0)
