@@ -59,7 +59,6 @@ def aggregate(h: Tensor, z: Tensor, graph: ExtendedGraph) -> tuple[Tensor, np.nd
         np.tanh(pre, out=a[blk])
         np.multiply(m, a[blk] * norm[blk], out=msg[blk])
     h_next = _checked(graph.tgt_incidence @ msg, "aggregate")
-    del msg
 
     # the backward re-gathers each block's rows from H and Z, which no step
     # between the passes writes; in-place steps are on its own arrays only
@@ -82,7 +81,6 @@ def aggregate(h: Tensor, z: Tensor, graph: ExtendedGraph) -> tuple[Tensor, np.nd
             d_q *= ht
             np.add(d_m, d_q, out=d_z[blk])
         h._accumulate_owned(graph.endpoint_incidence @ d_h)
-        del d_h
         z._accumulate_owned(graph.rel_incidence @ d_z)
 
     return Tensor(h_next, (h, z), backward), a[:, 0].copy()
