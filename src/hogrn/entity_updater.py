@@ -9,15 +9,19 @@ edge list in blocks of EDGE_BLOCK edges: a block gathers its source, relation
 and target rows and forms its messages, products and row sums, which are all
 per edge. The forward writes only the attention and the weighted messages;
 the tape keeps the attention and rebuilds the rest in the backward, so no
-(E x d) array lives between the passes. Every scatter runs once over the
-whole operand through the graph's CSR incidence matrices, whose unit-weight
-row sums add edges in edge order, exactly as an `np.add.at` over the edge
-list would.
+(E x d) array lives between the passes. Each pass cuts its blocks into two
+runs of whole blocks, one per worker thread (`parallel`); a block writes only
+its own rows, so every value is bitwise that of one thread. Every scatter
+runs once over the whole operand through the graph's CSR incidence matrices,
+whose unit-weight row sums add edges in edge order, exactly as an
+`np.add.at` over the edge list would. The scatters stay on one thread: they
+stream the whole operand from memory and ran no faster as two row ranges.
 """
 from __future__ import annotations
 
 import numpy as np
 
+from . import parallel
 from .autodiff import Tensor, _checked
 from .kgdata import ExtendedGraph
 
@@ -28,11 +32,18 @@ from .kgdata import ExtendedGraph
 EDGE_BLOCK = 512
 
 
-def _edge_blocks(graph: ExtendedGraph):
-    """(slice, src, rel, tgt) of each block of EDGE_BLOCK edges, in edge order."""
-    for lo in range(0, graph.num_edges, EDGE_BLOCK):
-        blk = slice(lo, min(lo + EDGE_BLOCK, graph.num_edges))
-        yield blk, graph.edge_src[blk], graph.edge_rel[blk], graph.edge_tgt[blk]
+def _over_edge_blocks(graph: ExtendedGraph, body) -> None:
+    """Call body(slice, src, rel, tgt) on each block of EDGE_BLOCK edges.
+
+    The blocks are cut into parallel.WORKERS runs of whole blocks; each run
+    goes through its blocks in edge order.
+    """
+    def part(lo, hi):
+        for start in range(lo, hi, EDGE_BLOCK):
+            blk = slice(start, min(start + EDGE_BLOCK, hi))
+            body(blk, graph.edge_src[blk], graph.edge_rel[blk], graph.edge_tgt[blk])
+
+    parallel.run(part, parallel.cuts(graph.num_edges, EDGE_BLOCK))
 
 
 def aggregate(h: Tensor, z: Tensor, graph: ExtendedGraph) -> tuple[Tensor, np.ndarray]:
@@ -50,7 +61,8 @@ def aggregate(h: Tensor, z: Tensor, graph: ExtendedGraph) -> tuple[Tensor, np.nd
     norm = graph.norm_coeff[:, None]
     a = np.empty((num_edges, 1))
     msg = np.empty((num_edges, dim))
-    for blk, src, rel, tgt in _edge_blocks(graph):
+
+    def forward_block(blk, src, rel, tgt):
         zr = z_d[rel]
         m = h_d[src] * zr  # message: source projected into the relation's space
         q = h_d[tgt] * zr  # target projected likewise
@@ -58,6 +70,8 @@ def aggregate(h: Tensor, z: Tensor, graph: ExtendedGraph) -> tuple[Tensor, np.nd
         pre = _checked((m * q).sum(axis=1, keepdims=True), "aggregate")
         np.tanh(pre, out=a[blk])
         np.multiply(m, a[blk] * norm[blk], out=msg[blk])
+
+    _over_edge_blocks(graph, forward_block)
     h_next = _checked(graph.tgt_incidence @ msg, "aggregate")
 
     # the backward re-gathers each block's rows from H and Z, which no step
@@ -65,7 +79,8 @@ def aggregate(h: Tensor, z: Tensor, graph: ExtendedGraph) -> tuple[Tensor, np.nd
     def backward(g):
         d_h = np.empty((2 * num_edges, dim))  # source rows, then target rows
         d_z = np.empty((num_edges, dim))
-        for blk, src, rel, tgt in _edge_blocks(graph):
+
+        def backward_block(blk, src, rel, tgt):
             hs, zr, ht = h_d[src], z_d[rel], h_d[tgt]
             m, q = hs * zr, ht * zr
             a_blk, norm_blk = a[blk], norm[blk]
@@ -80,6 +95,8 @@ def aggregate(h: Tensor, z: Tensor, graph: ExtendedGraph) -> tuple[Tensor, np.nd
             d_m *= hs
             d_q *= ht
             np.add(d_m, d_q, out=d_z[blk])
+
+        _over_edge_blocks(graph, backward_block)
         h._accumulate_owned(graph.endpoint_incidence @ d_h)
         z._accumulate_owned(graph.rel_incidence @ d_z)
 

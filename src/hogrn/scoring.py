@@ -8,13 +8,16 @@ calls it on plain arrays; training's `batch_scores` is one tape node whose
 forward is the same call and whose backward is written by hand. The TransE
 backward needs the sign of every (query, entity, dimension) difference; it
 sums them as float-masked column blocks plus an exact-tie pass
-(`_l1_adjoints`).
+(`_l1_adjoints`), with the dimensions cut into two ranges, one per worker
+thread (`parallel`). Each dimension's sums keep their order, so the
+gradients are bitwise those of one thread.
 """
 from __future__ import annotations
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from . import parallel
 from .autodiff import Tensor, _checked
 
 SCORE_HEADS = ("transe", "distmult")
@@ -73,43 +76,47 @@ def _l1_adjoints(g: np.ndarray, query: np.ndarray, h: np.ndarray):
     float mask per dimension, multiplied by g in place, so no (B, N, d) array
     exists. An exact tie has s = 0 where the mask counts -1; a sorted search
     per dimension finds the tied (query, entity) pairs and adds their g back
-    on both sides.
+    on both sides. Each worker thread takes a range of dimensions with its
+    own mask buffer and writes only those columns.
     """
     num_queries, num_entities = g.shape
     dim = h.shape[1]
     h_cols = np.ascontiguousarray(h.T)
     above_q = np.zeros((num_queries, dim))  # sum_j g[i, j] [query[i, k] > h[j, k]]
     above_t = np.empty((num_entities, dim))  # sum_i of the same cells
-    masked = np.empty((num_queries, ENTITY_BLOCK))
-    ones_q, ones_w = np.ones(num_queries), np.ones(ENTITY_BLOCK)
-    for lo in range(0, num_entities, ENTITY_BLOCK):
-        g_blk, h_blk = g[:, lo:lo + ENTITY_BLOCK], h_cols[:, lo:lo + ENTITY_BLOCK]
-        w = g_blk.shape[1]
-        buf, ones = masked[:, :w], ones_w[:w]
-        for k in range(dim):
-            # the 0/1 float mask times g gives the bits of g times the cast bool
-            np.greater(query[:, k, None], h_blk[k], out=buf)
-            np.multiply(g_blk, buf, out=buf)
-            above_q[:, k] += buf @ ones
-            above_t[lo:lo + w, k] = ones_q @ buf
-
     tie_q = np.zeros_like(above_q)
     tie_t = np.zeros_like(above_t)
-    sorted_h = np.sort(h_cols, axis=1)
-    for k in range(dim):
-        left = np.searchsorted(sorted_h[k], query[:, k], "left")
-        count = np.searchsorted(sorted_h[k], query[:, k], "right") - left
-        n_ties = int(count.sum())
-        if not n_ties:
-            continue
-        # tied pair t of query i sits at sorted position left[i] + (t - first pair of i)
-        rows = np.repeat(np.arange(num_queries), count)
-        offsets = np.repeat(left - np.cumsum(count) + count, count)
-        cols = np.argsort(h_cols[k])[offsets + np.arange(n_ties)]
-        vals = g[rows, cols]
-        tie_q[:, k] = np.bincount(rows, vals, num_queries)
-        tie_t[:, k] = np.bincount(cols, vals, num_entities)
+    ones_q, ones_w = np.ones(num_queries), np.ones(ENTITY_BLOCK)
 
+    def part(k_lo, k_hi):
+        masked = np.empty((num_queries, ENTITY_BLOCK))
+        for lo in range(0, num_entities, ENTITY_BLOCK):
+            g_blk, h_blk = g[:, lo:lo + ENTITY_BLOCK], h_cols[:, lo:lo + ENTITY_BLOCK]
+            w = g_blk.shape[1]
+            buf, ones = masked[:, :w], ones_w[:w]
+            for k in range(k_lo, k_hi):
+                # the 0/1 float mask times g gives the bits of g times the cast bool
+                np.greater(query[:, k, None], h_blk[k], out=buf)
+                np.multiply(g_blk, buf, out=buf)
+                above_q[:, k] += buf @ ones
+                above_t[lo:lo + w, k] = ones_q @ buf
+
+        sorted_h = np.sort(h_cols[k_lo:k_hi], axis=1)
+        for k in range(k_lo, k_hi):
+            left = np.searchsorted(sorted_h[k - k_lo], query[:, k], "left")
+            count = np.searchsorted(sorted_h[k - k_lo], query[:, k], "right") - left
+            n_ties = int(count.sum())
+            if not n_ties:
+                continue
+            # tied pair t of query i sits at sorted position left[i] + (t - first pair of i)
+            rows = np.repeat(np.arange(num_queries), count)
+            offsets = np.repeat(left - np.cumsum(count) + count, count)
+            cols = np.argsort(h_cols[k])[offsets + np.arange(n_ties)]
+            vals = g[rows, cols]
+            tie_q[:, k] = np.bincount(rows, vals, num_queries)
+            tie_t[:, k] = np.bincount(cols, vals, num_entities)
+
+    parallel.run(part, parallel.cuts(dim))
     d_query = g.sum(axis=1)[:, None] - 2.0 * above_q - tie_q
     d_tail = 2.0 * above_t - g.sum(axis=0)[:, None] + tie_t
     return d_query, d_tail

@@ -17,6 +17,7 @@ import numpy as np
 from scipy.special import expit, log_expit
 
 from . import autodiff as ad
+from . import parallel
 from .autodiff import Tensor, _checked
 from .evaluation import DIRECTIONS, build_filter_index, evaluate_split
 from .kgdata import ExtendedGraph, TripleStore, Vocabulary, extend_triples, group_answers
@@ -120,14 +121,24 @@ def bce_loss(scores: Tensor, targets: np.ndarray) -> Tensor:
         raise ValueError("bce_loss targets must be 0 or 1")
     s = scores.data
     size = s.size
-    loss = _checked(-log_expit(np.where(positive, s, -s)).mean(), "bce_loss")
+    x = -s  # +s on positive cells, -s on negative ones, without np.where's temporaries
+    np.copyto(x, s, where=positive)
+    loss = _checked(-log_expit(x, out=x).mean(), "bce_loss")
 
     def backward(g):
-        # d/ds of -log sigmoid(+-s) is -+sigmoid(-+s)
-        grad = np.where(positive, -s, s)
-        expit(grad, out=grad)
-        np.negative(grad, out=grad, where=positive)
-        grad *= g / size
+        # d/ds of -log sigmoid(+-s) is -+sigmoid(-+s), element-wise in row halves
+        grad = np.empty_like(s)
+        scale = g / size
+
+        def part(lo, hi):
+            out, pos = grad[lo:hi], positive[lo:hi]
+            np.copyto(out, s[lo:hi])
+            np.negative(out, out=out, where=pos)
+            expit(out, out=out)
+            np.negative(out, out=out, where=pos)
+            out *= scale
+
+        parallel.run(part, parallel.cuts(s.shape[0]))
         scores._accumulate_owned(grad)
 
     return Tensor(loss, (scores,), backward)

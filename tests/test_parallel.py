@@ -1,0 +1,226 @@
+"""The training step's loops split over two threads: bitwise parity and failures.
+
+Each test sets the worker count itself, so a one-core machine still splits.
+"""
+import sys
+import threading
+import time
+import warnings
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+import pytest
+
+import hogrn.entity_updater
+from hogrn import autodiff as ad
+from hogrn import parallel, scoring
+from hogrn.autodiff import Tensor
+from hogrn.entity_updater import aggregate
+from hogrn.kgdata import extend_triples
+from hogrn.synthetic import rule_composition_kg
+from hogrn.training import TrainConfig, bce_loss, fit
+
+# blocks of 7 put the cut of six_graph's 22 edges at edge 14, inside the
+# inverse section (edges 8 to 15)
+SMALL_EDGE_BLOCK = 7
+
+
+@pytest.fixture
+def use_workers(monkeypatch):
+    """use_workers(n) makes parallel.run split into n parts on n threads."""
+    pools = []
+
+    def use(n):
+        pool = ThreadPoolExecutor(n - 1) if n > 1 else None
+        pools.append(pool)
+        monkeypatch.setattr(parallel, "WORKERS", n)
+        monkeypatch.setattr(parallel, "_pool", pool)
+
+    yield use
+    for pool in pools:
+        if pool is not None:
+            pool.shutdown()
+
+
+def test_cuts_split_on_step_multiples(use_workers):
+    use_workers(2)
+    assert parallel.cuts(22, SMALL_EDGE_BLOCK) == [0, 14, 22]
+    assert parallel.cuts(10) == [0, 5, 10]
+    assert parallel.cuts(1) == [0, 1, 1]
+    use_workers(1)
+    assert parallel.cuts(22, SMALL_EDGE_BLOCK) == [0, 22]
+
+
+def test_parts_run_on_two_threads_and_no_more(use_workers):
+    use_workers(2)
+    before = threading.active_count()
+    seen = []
+
+    def part(lo, hi):
+        time.sleep(0.05)
+        seen.append((lo, hi, threading.get_ident(), threading.active_count()))
+
+    parallel.run(part, [0, 3, 5])
+    assert sorted(s[:2] for s in seen) == [(0, 3), (3, 5)]
+    assert len({s[2] for s in seen}) == 2
+    assert max(s[3] for s in seen) <= before + 2
+
+
+def test_run_waits_for_every_part_before_it_raises(use_workers):
+    use_workers(2)
+    finished = threading.Event()
+
+    def part(lo, hi):
+        if lo == 0:
+            raise ValueError("first part")
+        time.sleep(0.2)
+        finished.set()
+
+    with pytest.raises(ValueError, match="first part"):
+        parallel.run(part, [0, 1, 2])
+    assert finished.is_set()
+
+
+def test_run_raises_the_first_error_in_part_order(use_workers):
+    use_workers(2)
+
+    def part(lo, hi):
+        if lo == 0:
+            time.sleep(0.1)
+        raise ValueError(f"part {lo}")
+
+    with pytest.raises(ValueError, match="part 0"):
+        parallel.run(part, [0, 1, 2])
+
+
+def test_numpy_error_state_reaches_the_pool_thread(use_workers):
+    use_workers(2)
+
+    def part(lo, hi):
+        if lo == 1:
+            np.multiply(np.full(1, 1e200), 1e200)
+
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError, match="overflow"):
+            parallel.run(part, [0, 1, 2])
+
+
+def _aggregate_results(graph, h0, z0, c):
+    h, z = Tensor(h0.copy()), Tensor(z0.copy())
+    out, att = aggregate(h, z, graph)
+    ad.sum_all(out * c).backward()
+    return out.data, att, h.grad, z.grad
+
+
+def test_aggregate_is_bitwise_the_same_on_two_workers_and_one(monkeypatch, use_workers, six_graph):
+    monkeypatch.setattr(hogrn.entity_updater, "EDGE_BLOCK", SMALL_EDGE_BLOCK)
+    rng = np.random.default_rng(3)
+    h0, z0, c = rng.normal(size=(6, 5)), rng.normal(size=(7, 5)), rng.normal(size=(6, 5))
+    use_workers(2)
+    split = _aggregate_results(six_graph, h0, z0, c)
+    use_workers(1)
+    whole = _aggregate_results(six_graph, h0, z0, c)
+    for name, got, want in zip(("values", "attention", "h.grad", "z.grad"), split, whole):
+        np.testing.assert_array_equal(got, want, err_msg=name)
+
+
+@pytest.mark.parametrize("half", ["first", "second"])
+def test_aggregate_overflow_in_one_half_names_aggregate(monkeypatch, use_workers, six_graph, half):
+    # relation r1 (id 0) labels raw edges 0, 3 and 6 only, the self-loop
+    # relation edges 16 to 21 only; the halves are edges 0-13 and 14-21
+    monkeypatch.setattr(hogrn.entity_updater, "EDGE_BLOCK", SMALL_EDGE_BLOCK)
+    use_workers(2)
+    rel = 0 if half == "first" else six_graph.self_loop_id
+    edges = np.flatnonzero(six_graph.edge_rel == rel)
+    assert np.all(edges < 14) if half == "first" else np.all(edges >= 14)
+    h = np.ones((6, 3))
+    z = np.ones((7, 3))
+    z[rel] = 1e200
+    # an overflow warning from the pool thread would raise here, before the check
+    with warnings.catch_warnings(), np.errstate(over="ignore"):
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="op 'aggregate'"):
+            aggregate(Tensor(h), Tensor(z), six_graph)
+
+
+def _tied_adjoint_inputs():
+    """Dyadic query and entity states with many exact ties, odd dimension 5."""
+    rng = np.random.default_rng(12)
+    h = rng.integers(-3, 4, size=(9, 5)) / 4.0
+    query = rng.integers(-3, 4, size=(6, 5)) / 4.0
+    query[2] = h[4]
+    g = rng.normal(size=(6, 9))
+    assert (query[:, None, :] == h[None, :, :]).sum() >= 30
+    return g, query, h
+
+
+def test_l1_adjoints_are_bitwise_the_same_on_two_workers_and_one(monkeypatch, use_workers):
+    monkeypatch.setattr(scoring, "ENTITY_BLOCK", 2)
+    g, query, h = _tied_adjoint_inputs()
+    use_workers(2)
+    split = scoring._l1_adjoints(g, query, h)
+    use_workers(1)
+    whole = scoring._l1_adjoints(g, query, h)
+    for got, want in zip(split, whole):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_bce_gradient_is_bitwise_the_same_on_two_workers_and_one(use_workers):
+    rng = np.random.default_rng(4)
+    s = rng.normal(scale=5.0, size=(7, 11))
+    targets = (rng.random((7, 11)) < 0.3).astype(np.float64)
+    grads = []
+    for n in (2, 1):
+        use_workers(n)
+        scores = Tensor(s.copy())
+        bce_loss(scores, targets).backward()
+        grads.append(scores.grad)
+    np.testing.assert_array_equal(grads[0], grads[1])
+
+
+def test_split_loops_stay_bitwise_under_fast_thread_switching(monkeypatch, use_workers, six_graph):
+    # three parts, more than the cores of a two-core machine, and a thread
+    # switch every microsecond: a lost or doubled write would change a value
+    monkeypatch.setattr(hogrn.entity_updater, "EDGE_BLOCK", 3)
+    monkeypatch.setattr(scoring, "ENTITY_BLOCK", 2)
+    rng = np.random.default_rng(6)
+    h0, z0, c = rng.normal(size=(6, 5)), rng.normal(size=(7, 5)), rng.normal(size=(6, 5))
+    g, query, h = _tied_adjoint_inputs()
+    use_workers(1)
+    want = _aggregate_results(six_graph, h0, z0, c), scoring._l1_adjoints(g, query, h)
+    use_workers(3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        deadline = time.monotonic() + 5.0
+        for _ in range(30):
+            got = _aggregate_results(six_graph, h0, z0, c), scoring._l1_adjoints(g, query, h)
+            for got_arrays, want_arrays in zip(got, want):
+                for x, y in zip(got_arrays, want_arrays):
+                    np.testing.assert_array_equal(x, y)
+            if time.monotonic() > deadline:
+                break
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("head", ["distmult", "transe"])
+def test_fit_is_bitwise_the_same_on_two_workers_and_one(monkeypatch, use_workers, head):
+    monkeypatch.setattr(hogrn.entity_updater, "EDGE_BLOCK", SMALL_EDGE_BLOCK)
+    monkeypatch.setattr(scoring, "ENTITY_BLOCK", 2)
+    store, vocab = rule_composition_kg(num_entities=40, seed=1)
+    cfg = TrainConfig(dim=7, head=head, lr=0.01, batch_size=64, max_epochs=2,
+                      patience=10, seed=3)
+    runs = []
+    before = threading.active_count()
+    for n in (2, 1):
+        use_workers(n)
+        model = cfg.build_model(extend_triples(store, vocab))
+        result, _ = fit(model, store, vocab, cfg)
+        assert threading.active_count() <= before + 2
+        runs.append(([(e.loss, e.val_mrr) for e in result.history], model.params.state_dict()))
+    (history_2, params_2), (history_1, params_1) = runs
+    assert history_2 == history_1
+    assert params_2.keys() == params_1.keys()
+    for name in params_1:
+        np.testing.assert_array_equal(params_2[name], params_1[name], err_msg=name)
