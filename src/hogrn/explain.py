@@ -48,10 +48,12 @@ def normalize_attentions(attentions: list[np.ndarray], graph: ExtendedGraph) -> 
         denom = np.zeros(graph.num_entities, dtype=np.float64)
         np.add.at(denom, graph.edge_tgt, magnitude)
         dead = denom == 0.0
-        if dead.any():
-            warnings.warn(
-                f"layer {layer}: {int(dead.sum())} entity(ies) with all-zero attention; "
-                "using uniform weights for their incoming edges")
+        if not dead.any():
+            normalized.append(magnitude / denom[graph.edge_tgt])
+            continue
+        warnings.warn(
+            f"layer {layer}: {int(dead.sum())} entity(ies) with all-zero attention; "
+            "using uniform weights for their incoming edges")
         edge_dead = dead[graph.edge_tgt]
         weights = np.empty_like(magnitude)
         weights[~edge_dead] = magnitude[~edge_dead] / denom[graph.edge_tgt[~edge_dead]]

@@ -5,6 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import parallel
 from .autodiff import Tensor
 
 
@@ -100,7 +101,13 @@ ADAM_EPS = 1e-8
 
 
 class Adam:
-    """Adam with bias correction; gradients are zeroed after each step."""
+    """Adam with bias correction; gradients are zeroed after each step.
+
+    Each parameter's update is element-wise, so it runs in row halves, one per
+    worker thread (`parallel`), in place and in the same operation order as
+    one thread: every value is bitwise the same. Its two scratch arrays are
+    allocated on the calling thread, so the pool thread allocates nothing.
+    """
 
     def __init__(self, store: ParameterStore, lr: float = 1e-3):
         self.store = store
@@ -120,13 +127,27 @@ class Adam:
             if name not in self.m:
                 self.m[name] = np.zeros_like(p.data)
                 self.v[name] = np.zeros_like(p.data)
-            self.m[name] *= ADAM_BETA1
-            self.m[name] += (1.0 - ADAM_BETA1) * g
-            self.v[name] *= ADAM_BETA2
-            self.v[name] += (1.0 - ADAM_BETA2) * (g * g)
-            m_hat = self.m[name] / bc1
-            v_hat = self.v[name] / bc2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            m, v, data = self.m[name], self.v[name], p.data
+            step_buf, denom_buf = np.empty_like(data), np.empty_like(data)
+
+            def part(lo, hi):
+                m_rows, v_rows, g_rows = m[lo:hi], v[lo:hi], g[lo:hi]
+                step, denom = step_buf[lo:hi], denom_buf[lo:hi]
+                m_rows *= ADAM_BETA1
+                m_rows += np.multiply(g_rows, 1.0 - ADAM_BETA1, out=step)
+                v_rows *= ADAM_BETA2
+                np.multiply(g_rows, g_rows, out=step)
+                v_rows += np.multiply(step, 1.0 - ADAM_BETA2, out=step)
+                # data -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+                np.divide(m_rows, bc1, out=step)
+                step *= self.lr
+                np.divide(v_rows, bc2, out=denom)
+                np.sqrt(denom, out=denom)
+                denom += ADAM_EPS
+                step /= denom
+                data[lo:hi] -= step
+
+            parallel.run(part, parallel.cuts(data.shape[0]))
         self.store.zero_grad()
 
     def state_dict(self) -> dict:

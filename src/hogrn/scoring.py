@@ -8,9 +8,10 @@ calls it on plain arrays; training's `batch_scores` is one tape node whose
 forward is the same call and whose backward is written by hand. The TransE
 backward needs the sign of every (query, entity, dimension) difference; it
 sums them as float-masked column blocks plus an exact-tie pass
-(`_l1_adjoints`), with the dimensions cut into two ranges, one per worker
-thread (`parallel`). Each dimension's sums keep their order, so the
-gradients are bitwise those of one thread.
+(`_l1_adjoints`). The TransE forward is cut into two row ranges and its
+backward into two dimension ranges, one per worker thread (`parallel`).
+Each row's distances and each dimension's sums keep their order, so scores
+and gradients are bitwise those of one thread.
 """
 from __future__ import annotations
 
@@ -133,8 +134,17 @@ def score_all_tails(head: str, h: np.ndarray, z: np.ndarray, src, rel) -> np.nda
     _check_ids(src, rel, h.shape[0], z.shape[0])
     if head == "transe":
         query = h[src] + z[rel]
-        # cdist sums |x - h_t| pair by pair; no (B, N, d) difference is allocated
-        scores = -cdist(np.atleast_2d(query), h, "cityblock")
+        queries = np.atleast_2d(query)
+        scores = np.empty((queries.shape[0], h.shape[0]))
+
+        # cdist sums |x - h_t| pair by pair, so a row's bits do not depend on
+        # the rows beside it; no (B, N, d) difference is allocated
+        def part(lo, hi):
+            block = scores[lo:hi]
+            cdist(queries[lo:hi], h, "cityblock", out=block)
+            np.negative(block, out=block)
+
+        parallel.run(part, parallel.cuts(queries.shape[0]))
     elif head == "distmult":
         query = h[src] * z[rel]
         scores = np.atleast_2d(query) @ h.T

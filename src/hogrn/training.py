@@ -96,9 +96,9 @@ class QuerySet:
         return self.src.shape[0]
 
     def multi_hot(self, idx: np.ndarray) -> np.ndarray:
-        targets = np.zeros((len(idx), self.num_entities), dtype=np.float64)
+        targets = np.zeros((len(idx), self.num_entities), dtype=bool)
         for row, q in enumerate(idx):
-            targets[row, self.tails[q]] = 1.0
+            targets[row, self.tails[q]] = True
         return targets
 
 
@@ -110,24 +110,39 @@ def build_queries(graph: ExtendedGraph) -> QuerySet:
 def bce_loss(scores: Tensor, targets: np.ndarray) -> Tensor:
     """Mean over all batch x entity cells of the per-cell cross-entropy.
 
-    Targets are 0/1, so each cell's cross-entropy is -log sigmoid(+-s): one
-    `log_expit` per cell forward and one `expit` per cell backward, with no
-    overflow at any finite score.
+    Targets are bool (used as the positive mask, no copy) or 0/1 floats,
+    with the same result for either. Each cell's cross-entropy is
+    -log sigmoid(+-s): one `log_expit` per cell forward and one `expit` per
+    cell backward, with no overflow at any finite score. Both passes are
+    element-wise over row halves, one per worker thread (`parallel`); only
+    the mean runs over the whole array, so every value is bitwise that of
+    one thread. The backward writes the gradient into the forward's spent
+    buffer.
     """
     if scores.shape != targets.shape:
         raise ValueError(f"scores {scores.shape} vs targets {targets.shape}")
-    positive = targets == 1.0
+    positive = targets if targets.dtype == bool else targets == 1.0
     if np.count_nonzero(positive) != np.count_nonzero(targets):
         raise ValueError("bce_loss targets must be 0 or 1")
     s = scores.data
     size = s.size
-    x = -s  # +s on positive cells, -s on negative ones, without np.where's temporaries
-    np.copyto(x, s, where=positive)
-    loss = _checked(-log_expit(x, out=x).mean(), "bce_loss")
+    cells = np.empty_like(s)
+    halves = parallel.cuts(s.shape[0])
+
+    def forward(lo, hi):
+        # +s on positive cells, -s on negative ones, without np.where's temporaries
+        out = cells[lo:hi]
+        np.negative(s[lo:hi], out=out)
+        np.copyto(out, s[lo:hi], where=positive[lo:hi])
+        log_expit(out, out=out)
+
+    parallel.run(forward, halves)
+    loss = _checked(-cells.mean(), "bce_loss")
+    spent = [cells]  # handed to the first backward call only; a repeat allocates
 
     def backward(g):
-        # d/ds of -log sigmoid(+-s) is -+sigmoid(-+s), element-wise in row halves
-        grad = np.empty_like(s)
+        # d/ds of -log sigmoid(+-s) is -+sigmoid(-+s)
+        grad = spent.pop() if spent else np.empty_like(s)
         scale = g / size
 
         def part(lo, hi):
@@ -138,7 +153,7 @@ def bce_loss(scores: Tensor, targets: np.ndarray) -> Tensor:
             np.negative(out, out=out, where=pos)
             out *= scale
 
-        parallel.run(part, parallel.cuts(s.shape[0]))
+        parallel.run(part, halves)
         scores._accumulate_owned(grad)
 
     return Tensor(loss, (scores,), backward)

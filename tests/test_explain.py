@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +70,19 @@ def test_normalize_sums_to_one_per_target(six_graph):
         sums = np.zeros(six_graph.num_entities)
         np.add.at(sums, six_graph.edge_tgt, weights)
         np.testing.assert_allclose(sums, 1.0, atol=1e-9)
+
+
+def test_normalize_is_the_edge_order_quotient_bit_for_bit(six_graph):
+    rng = np.random.default_rng(2)
+    alpha = rng.normal(size=six_graph.num_edges)
+    denom = [0.0] * six_graph.num_entities
+    for e, t in enumerate(six_graph.edge_tgt):
+        denom[t] += abs(alpha[e])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        weights = normalize_attentions([alpha], six_graph)[0]
+    for e, t in enumerate(six_graph.edge_tgt):
+        assert weights[e] == abs(alpha[e]) / denom[t]
 
 
 def test_normalize_dead_target_warns_and_falls_back_to_uniform():

@@ -10,6 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy.special import log_expit
 
 import hogrn.entity_updater
 from hogrn import autodiff as ad
@@ -17,6 +18,7 @@ from hogrn import parallel, scoring
 from hogrn.autodiff import Tensor
 from hogrn.entity_updater import aggregate
 from hogrn.kgdata import extend_triples
+from hogrn.optim import Adam, ParameterStore
 from hogrn.synthetic import rule_composition_kg
 from hogrn.training import TrainConfig, bce_loss, fit
 
@@ -165,17 +167,106 @@ def test_l1_adjoints_are_bitwise_the_same_on_two_workers_and_one(monkeypatch, us
         np.testing.assert_array_equal(got, want)
 
 
+def _bce_results(s, targets):
+    scores = Tensor(s.copy())
+    loss = bce_loss(scores, targets)
+    loss.backward()
+    return loss.data, scores.grad
+
+
 def test_bce_gradient_is_bitwise_the_same_on_two_workers_and_one(use_workers):
+    # the loss value too: its mean runs over the whole array after the split forward
     rng = np.random.default_rng(4)
     s = rng.normal(scale=5.0, size=(7, 11))
     targets = (rng.random((7, 11)) < 0.3).astype(np.float64)
-    grads = []
-    for n in (2, 1):
-        use_workers(n)
-        scores = Tensor(s.copy())
-        bce_loss(scores, targets).backward()
-        grads.append(scores.grad)
-    np.testing.assert_array_equal(grads[0], grads[1])
+    use_workers(2)
+    (loss_2, grad_2), pieces = _bce_results(s, targets), parallel.cuts(7)
+    use_workers(1)
+    loss_1, grad_1 = _bce_results(s, targets)
+    assert pieces == [0, 4, 7]
+    assert loss_2 == loss_1 == -log_expit(np.where(targets == 1.0, s, -s)).mean()
+    np.testing.assert_array_equal(grad_2, grad_1)
+
+
+def _adam_results(steps=4, poison=None):
+    """Params, moments and t after `steps` Adam steps on fixed random gradients.
+
+    Parameter "wide" has 7 rows, cut at row 4 on two workers. `poison`, a
+    (row, col) of "wide", makes the last step's gradient NaN there.
+    """
+    rng = np.random.default_rng(8)
+    store = ParameterStore()
+    for name, shape in (("wide", (7, 5)), ("row", (1, 4)), ("flat", (9,))):
+        store.add(name, rng.normal(size=shape))
+    opt = Adam(store, lr=0.05)
+    for step in range(steps):
+        for _, p in store.items():
+            p.grad = rng.normal(scale=3.0, size=p.data.shape)
+        if poison is not None and step == steps - 1:
+            store["wide"].grad[poison] = np.nan
+            saved = store.state_dict(), opt.state_dict()
+            with pytest.raises(FloatingPointError, match="'wide'"):
+                opt.step()
+            return saved, (store.state_dict(), opt.state_dict())
+        opt.step()
+    return store.state_dict(), opt.state_dict()
+
+
+def _textbook_adam(steps=4):
+    """The same run as `_adam_results` through whole-array expressions."""
+    rng = np.random.default_rng(8)
+    params = {name: rng.normal(size=shape)
+              for name, shape in (("wide", (7, 5)), ("row", (1, 4)), ("flat", (9,)))}
+    m = {name: np.zeros_like(w) for name, w in params.items()}
+    v = {name: np.zeros_like(w) for name, w in params.items()}
+    for t in range(1, steps + 1):
+        for name, w in params.items():
+            g = rng.normal(scale=3.0, size=w.shape)
+            m[name] = m[name] * 0.9 + (1.0 - 0.9) * g
+            v[name] = v[name] * 0.999 + (1.0 - 0.999) * (g * g)
+            m_hat = m[name] / (1.0 - 0.9 ** t)
+            v_hat = v[name] / (1.0 - 0.999 ** t)
+            w -= 0.05 * m_hat / (np.sqrt(v_hat) + 1e-8)
+    return params, {"t": steps, "m": m, "v": v}
+
+
+def _assert_adam_equal(got, want):
+    (params_got, opt_got), (params_want, opt_want) = got, want
+    assert opt_got["t"] == opt_want["t"]
+    for name in params_want:
+        for key, a, b in (("param", params_got, params_want),
+                          ("m", opt_got["m"], opt_want["m"]), ("v", opt_got["v"], opt_want["v"])):
+            np.testing.assert_array_equal(a[name], b[name], err_msg=f"{key} {name}")
+
+
+def test_adam_steps_are_bitwise_the_same_on_two_workers_and_one(use_workers):
+    use_workers(2)
+    split = _adam_results()
+    use_workers(1)
+    whole = _adam_results()
+    _assert_adam_equal(split, whole)
+    _assert_adam_equal(whole, _textbook_adam())
+
+
+def test_adam_non_finite_gradient_in_the_second_half_changes_nothing(use_workers):
+    use_workers(2)
+    assert parallel.cuts(7) == [0, 4, 7]
+    (params_before, opt_before), (params_after, opt_after) = _adam_results(poison=(5, 2))
+    opt_before["t"] += 1  # the step count advances before the check, as on one thread
+    _assert_adam_equal((params_after, opt_after), (params_before, opt_before))
+
+
+def test_transe_scores_are_bitwise_the_same_on_two_workers_and_one_and_row_by_row(use_workers):
+    rng = np.random.default_rng(10)
+    h, z = rng.normal(size=(23, 6)), rng.normal(size=(5, 6))
+    src, rel = rng.integers(0, 23, size=9), rng.integers(0, 5, size=9)
+    use_workers(2)
+    split = scoring.score_all_tails("transe", h, z, src, rel)
+    use_workers(1)
+    whole = scoring.score_all_tails("transe", h, z, src, rel)
+    np.testing.assert_array_equal(split, whole)
+    for i in range(len(src)):
+        np.testing.assert_array_equal(whole[i], scoring.score_all_tails("transe", h, z, src[i], rel[i]))
 
 
 def test_split_loops_stay_bitwise_under_fast_thread_switching(monkeypatch, use_workers, six_graph):
@@ -186,15 +277,24 @@ def test_split_loops_stay_bitwise_under_fast_thread_switching(monkeypatch, use_w
     rng = np.random.default_rng(6)
     h0, z0, c = rng.normal(size=(6, 5)), rng.normal(size=(7, 5)), rng.normal(size=(6, 5))
     g, query, h = _tied_adjoint_inputs()
+    s = rng.normal(scale=5.0, size=(7, 11))
+    targets = rng.random((7, 11)) < 0.3
+
+    def results():
+        params, moments = _adam_results(steps=2)
+        return (_aggregate_results(six_graph, h0, z0, c), scoring._l1_adjoints(g, query, h),
+                _bce_results(s, targets), scoring.score_all_tails("transe", h0, z0, [0, 5, 2], [6, 1, 3]),
+                [*params.values(), *moments["m"].values(), *moments["v"].values()])
+
     use_workers(1)
-    want = _aggregate_results(six_graph, h0, z0, c), scoring._l1_adjoints(g, query, h)
+    want = results()
     use_workers(3)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         deadline = time.monotonic() + 5.0
         for _ in range(30):
-            got = _aggregate_results(six_graph, h0, z0, c), scoring._l1_adjoints(g, query, h)
+            got = results()
             for got_arrays, want_arrays in zip(got, want):
                 for x, y in zip(got_arrays, want_arrays):
                     np.testing.assert_array_equal(x, y)

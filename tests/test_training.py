@@ -71,6 +71,7 @@ def test_multi_hot_targets(six_graph):
     idx = np.array([0, len(queries) - 1])
     targets = queries.multi_hot(idx)
     assert targets.shape == (2, six_graph.num_entities)
+    assert targets.dtype == bool
     for row, q in enumerate(idx):
         np.testing.assert_array_equal(np.flatnonzero(targets[row]), queries.tails[q])
 
@@ -102,6 +103,35 @@ def test_bce_matches_scalar_loop():
             total += y * log_sigmoid(s) + (1.0 - y) * log_sigmoid(-s)
     expect = -total / 24.0
     assert bce_loss(Tensor(scores), targets).item() == pytest.approx(expect, abs=1e-10)
+
+
+def test_bce_bool_and_float_targets_give_the_same_bits():
+    rng = np.random.default_rng(11)
+    s = rng.normal(scale=4.0, size=(5, 9))
+    positive = rng.random((5, 9)) < 0.4
+    results = []
+    for targets in (positive, positive.astype(np.float64)):
+        scores = Tensor(s.copy())
+        loss = bce_loss(scores, targets)
+        loss.backward()
+        results.append((loss.item(), scores.grad))
+    (loss_bool, grad_bool), (loss_float, grad_float) = results
+    assert loss_bool == loss_float
+    np.testing.assert_array_equal(grad_bool, grad_float)
+
+
+def test_bce_second_backward_accumulates_like_any_node():
+    # the first backward writes into the forward's buffer; a second one must
+    # not overwrite the gradient kept from the first (1 + 2 seeds: 3x)
+    s = np.random.default_rng(12).normal(size=(3, 5))
+    targets = np.eye(3, 5, dtype=bool)
+    once = Tensor(s.copy())
+    bce_loss(once, targets).backward()
+    twice = Tensor(s.copy())
+    loss = bce_loss(twice, targets)
+    loss.backward()
+    loss.backward()
+    np.testing.assert_array_equal(twice.grad, 3.0 * once.grad)
 
 
 def test_bce_rejects_shape_mismatch():
