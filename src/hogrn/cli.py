@@ -29,7 +29,8 @@ import numpy as np
 
 from .evaluation import DIRECTIONS, build_filter_index, evaluate_split, filtered_rank, oracle_rank
 from .explain import explain, to_dot, to_records
-from .kgdata import degree_report, export_dataset, extend_triples, load_dataset, sparsify_subset
+from .kgdata import (degree_report, export_dataset, extend_triples, load_dataset, sparsify_subset,
+                     unseen_in_train_warning)
 from .model import HoGRN
 from .optim import finite_difference_check
 from .scoring import score_all_tails
@@ -147,6 +148,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load_with_coverage_warning(data_dir):
+    """The dataset, after one warning on stderr if valid or test triples use
+    entities or relations that training never sees."""
+    store, vocab = load_dataset(_resolve_data_dir(data_dir))
+    warning = unseen_in_train_warning(store, vocab)
+    if warning:
+        print(f"warning: {warning}", file=sys.stderr)
+    return store, vocab
+
+
 def _cmd_stats(args) -> int:
     store, vocab = load_dataset(_resolve_data_dir(args.data_dir))
     for line in degree_report(store, vocab).lines():
@@ -176,7 +187,7 @@ def _cmd_train(args) -> int:
         options["use_reasoning"] = False
     config = TrainConfig(**options)
     config.validate()
-    store, vocab = load_dataset(_resolve_data_dir(args.data_dir))
+    store, vocab = _load_with_coverage_warning(args.data_dir)
     graph = extend_triples(store, vocab)
     model = config.build_model(graph)
     log_fn = None if args.quiet else print
@@ -199,7 +210,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    store, vocab = load_dataset(_resolve_data_dir(args.data_dir))
+    store, vocab = _load_with_coverage_warning(args.data_dir)
     model, _, _ = restore_model(args.checkpoint, store, vocab)
     h, z, _ = model.eval_states()
     triples = store.valid if args.split == "valid" else store.test

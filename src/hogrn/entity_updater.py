@@ -32,18 +32,19 @@ from .kgdata import ExtendedGraph
 EDGE_BLOCK = 512
 
 
-def _over_edge_blocks(graph: ExtendedGraph, body) -> None:
+def _over_edge_blocks(graph: ExtendedGraph, dim: int, body) -> None:
     """Call body(slice, src, rel, tgt) on each block of EDGE_BLOCK edges.
 
-    The blocks are cut into parallel.WORKERS runs of whole blocks; each run
-    goes through its blocks in edge order.
+    The blocks are cut into parallel.WORKERS runs of whole blocks (one run
+    below parallel.INLINE_CELLS edge x dim cells); each run goes through its
+    blocks in edge order.
     """
     def part(lo, hi):
         for start in range(lo, hi, EDGE_BLOCK):
             blk = slice(start, min(start + EDGE_BLOCK, hi))
             body(blk, graph.edge_src[blk], graph.edge_rel[blk], graph.edge_tgt[blk])
 
-    parallel.run(part, parallel.cuts(graph.num_edges, EDGE_BLOCK))
+    parallel.run(part, parallel.cuts(graph.num_edges, EDGE_BLOCK, dim))
 
 
 def aggregate(h: Tensor, z: Tensor, graph: ExtendedGraph) -> tuple[Tensor, np.ndarray]:
@@ -71,7 +72,7 @@ def aggregate(h: Tensor, z: Tensor, graph: ExtendedGraph) -> tuple[Tensor, np.nd
         np.tanh(pre, out=a[blk])
         np.multiply(m, a[blk] * norm[blk], out=msg[blk])
 
-    _over_edge_blocks(graph, forward_block)
+    _over_edge_blocks(graph, dim, forward_block)
     h_next = _checked(graph.tgt_incidence @ msg, "aggregate")
 
     # the backward re-gathers each block's rows from H and Z, which no step
@@ -96,7 +97,7 @@ def aggregate(h: Tensor, z: Tensor, graph: ExtendedGraph) -> tuple[Tensor, np.nd
             d_q *= ht
             np.add(d_m, d_q, out=d_z[blk])
 
-        _over_edge_blocks(graph, backward_block)
+        _over_edge_blocks(graph, dim, backward_block)
         h._accumulate_owned(graph.endpoint_incidence @ d_h)
         z._accumulate_owned(graph.rel_incidence @ d_z)
 

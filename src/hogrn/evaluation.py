@@ -6,7 +6,9 @@ true answers from any split are removed from the candidate set except the
 gold one, and ties share their rank (rank = 1 + #better + #ties / 2) so a
 constant scorer cannot look artificially good. `oracle_rank` re-derives a
 single rank with plain Python loops and is kept free of any code shared with
-the vectorized path; tests compare the two routes.
+the vectorized path; tests compare the two routes. `evaluate_split` scores
+and ranks whole blocks of queries on up to two threads (`parallel`), with
+every score and rank bitwise that of one thread.
 """
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import parallel
 from .kgdata import TripleStore, Vocabulary, group_answers
 from .scoring import SCORE_HEADS, score_all_tails
 
@@ -122,7 +125,11 @@ def evaluate_split(
     """Filtered MRR and Hits@k over a split, scored and ranked in blocks.
 
     Queries are taken in order, a triple's tail query before its head query,
-    and scored BLOCK_CELLS // N at a time as one (B, N) block. The answer
+    and scored BLOCK_CELLS // N at a time as one (B, N) block. The blocks are
+    cut into parallel.WORKERS runs of whole blocks; each run scores its blocks
+    in order into one score buffer that this thread allocates, and ranks them
+    into its own slice of the ranks. A block has the same rows for any worker
+    count, so every score and rank is bitwise that of one thread. The answer
     arrays of `filter_index` must hold unique ids, as `build_filter_index`'s do.
     """
     if direction not in DIRECTIONS:
@@ -138,18 +145,30 @@ def evaluate_split(
         src, rel, gold = (np.column_stack(pair).ravel()
                           for pair in ((src, gold), (rel, rel + num_raw_relations), (gold, src)))
     known = [filter_index.get(key, _EMPTY) for key in zip(src.tolist(), rel.tolist())]
-    ranks = np.empty(src.shape[0], dtype=np.float64)
-    rows = max(1, BLOCK_CELLS // h.shape[0])
-    for start in range(0, src.shape[0], rows):
-        block = slice(start, start + rows)
-        scores = score_all_tails(head, h, z, src[block], rel[block])
-        ranks[block] = _rank_block(scores, gold[block], known[block])
+    num_queries, num_entities = src.shape[0], h.shape[0]
+    ranks = np.empty(num_queries, dtype=np.float64)
+    rows = max(1, BLOCK_CELLS // num_entities)
+    bounds = parallel.cuts(num_queries, rows, h.size)
+    # one score buffer per run, allocated on this thread, so that the pool
+    # thread allocates no (rows, N) block and a run faults its buffer in once
+    buffers = {lo: np.empty((min(rows, hi - lo), num_entities))
+               for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi}
+
+    def part(lo, hi):
+        buffer = buffers[lo]
+        for start in range(lo, hi, rows):
+            block = slice(start, min(start + rows, hi))
+            scores = score_all_tails(head, h, z, src[block], rel[block],
+                                     out=buffer[:block.stop - start])
+            ranks[block] = _rank_block(scores, gold[block], known[block])
+
+    parallel.run(part, bounds)
     return EvalReport(
         mrr=float(np.mean(1.0 / ranks)),
         hits1=float(np.mean(ranks <= 1.0)),
         hits3=float(np.mean(ranks <= 3.0)),
         hits10=float(np.mean(ranks <= 10.0)),
-        num_queries=src.shape[0],
+        num_queries=num_queries,
         direction=direction,
         ranks=ranks if keep_ranks else None,
     )

@@ -325,28 +325,46 @@ def _aligned_lines(items: dict) -> list[str]:
     return [f"{k:<{width}}  {v}" for k, v in items.items()]
 
 
+def _missing_from_train(train: np.ndarray, store: TripleStore, vocab: Vocabulary):
+    """Masks of the entities and relations absent from `train`, and of the
+    valid and test triples of `store` that use at least one of them."""
+    missing_entities = np.ones(vocab.num_entities, dtype=bool)
+    missing_relations = np.ones(vocab.num_relations, dtype=bool)
+    if train.size:
+        missing_entities[train[:, 0]] = False
+        missing_entities[train[:, 2]] = False
+        missing_relations[train[:, 1]] = False
+
+    def uses_missing(arr: np.ndarray) -> np.ndarray:
+        if not arr.size:
+            return np.zeros(0, dtype=bool)
+        return missing_entities[arr[:, 0]] | missing_entities[arr[:, 2]] | missing_relations[arr[:, 1]]
+
+    return missing_entities, missing_relations, uses_missing(store.valid), uses_missing(store.test)
+
+
 def _train_coverage(train: np.ndarray, store: TripleStore, vocab: Vocabulary) -> dict[str, int]:
     """Entities and relations absent from `train`, and the valid and test
     triples of `store` that use at least one of them."""
-    seen_entities = np.zeros(vocab.num_entities, dtype=bool)
-    seen_relations = np.zeros(vocab.num_relations, dtype=bool)
-    if train.size:
-        seen_entities[train[:, 0]] = True
-        seen_entities[train[:, 2]] = True
-        seen_relations[train[:, 1]] = True
+    counts = [int(mask.sum()) for mask in _missing_from_train(train, store, vocab)]
+    return dict(zip(("entities_missing_from_train", "relations_missing_from_train",
+                     "valid_triples_with_missing", "test_triples_with_missing"), counts))
 
-    def n_with_missing(arr: np.ndarray) -> int:
-        if not arr.size:
-            return 0
-        bad = ~seen_entities[arr[:, 0]] | ~seen_entities[arr[:, 2]] | ~seen_relations[arr[:, 1]]
-        return int(bad.sum())
 
-    return {
-        "entities_missing_from_train": int((~seen_entities).sum()),
-        "relations_missing_from_train": int((~seen_relations).sum()),
-        "valid_triples_with_missing": n_with_missing(store.valid),
-        "test_triples_with_missing": n_with_missing(store.test),
-    }
+def unseen_in_train_warning(store: TripleStore, vocab: Vocabulary) -> str | None:
+    """One line on the valid and test triples that use an entity or relation
+    absent from training (those `_train_coverage` counts), naming the first by
+    split and row; None if none does."""
+    _, _, valid_rows, test_rows = _missing_from_train(store.train, store, vocab)
+    num_valid, num_test = int(valid_rows.sum()), int(test_rows.sum())
+    if not num_valid + num_test:
+        return None
+    split, rows, triples = ("valid", valid_rows, store.valid) if num_valid else ("test", test_rows, store.test)
+    row = int(np.argmax(rows))
+    h, r, t = triples[row].tolist()
+    return (f"{num_valid} valid and {num_test} test triples use entities or relations absent "
+            f"from training; the first is {split} row {row}: "
+            f"({vocab.entities[h]}, {vocab.relations[r]}, {vocab.entities[t]})")
 
 
 def degree_report(store: TripleStore, vocab: Vocabulary) -> DegreeReport:

@@ -104,8 +104,9 @@ class Adam:
     """Adam with bias correction; gradients are zeroed after each step.
 
     Each parameter's update is element-wise, so it runs in row halves, one per
-    worker thread (`parallel`), in place and in the same operation order as
-    one thread: every value is bitwise the same. Its two scratch arrays are
+    worker thread (`parallel`; a parameter below parallel.INLINE_CELLS cells
+    runs whole), in place and in the same operation order as one thread:
+    every value is bitwise the same. Its two scratch arrays are
     allocated on the calling thread, so the pool thread allocates nothing.
     """
 
@@ -117,13 +118,23 @@ class Adam:
         self.v: dict[str, np.ndarray] = {}
 
     def step(self):
-        self.t += 1
-        bc1 = 1.0 - ADAM_BETA1 ** self.t
-        bc2 = 1.0 - ADAM_BETA2 ** self.t
+        """One update of every parameter.
+
+        Every gradient is checked first: a non-finite one raises
+        FloatingPointError naming its parameter and leaves every parameter,
+        moment and `t` as it was.
+        """
+        grads = {}
         for name, p in self.store.items():
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
             if not np.all(np.isfinite(g)):
                 raise FloatingPointError(f"non-finite gradient in parameter '{name}'")
+            grads[name] = g
+        self.t += 1
+        bc1 = 1.0 - ADAM_BETA1 ** self.t
+        bc2 = 1.0 - ADAM_BETA2 ** self.t
+        for name, p in self.store.items():
+            g = grads[name]
             if name not in self.m:
                 self.m[name] = np.zeros_like(p.data)
                 self.v[name] = np.zeros_like(p.data)
@@ -147,7 +158,7 @@ class Adam:
                 step /= denom
                 data[lo:hi] -= step
 
-            parallel.run(part, parallel.cuts(data.shape[0]))
+            parallel.run(part, parallel.cuts(data.shape[0], width=int(np.prod(data.shape[1:]))))
         self.store.zero_grad()
 
     def state_dict(self) -> dict:

@@ -4,14 +4,17 @@ Two heads: translational with L1 norm (score is -||h + z - t||_1, at most 0)
 and bilinear-diagonal (sum_i h_i * z_i * t_i). `score_all_tails` is the one
 definition of each head: it scores (head, relation) queries against every
 entity at once, with a GEMM for DistMult and `cdist` for TransE. Ranking
-calls it on plain arrays; training's `batch_scores` is one tape node whose
-forward is the same call and whose backward is written by hand. The TransE
-backward needs the sign of every (query, entity, dimension) difference; it
-sums them as float-masked column blocks plus an exact-tie pass
-(`_l1_adjoints`). The TransE forward is cut into two row ranges and its
-backward into two dimension ranges, one per worker thread (`parallel`).
-Each row's distances and each dimension's sums keep their order, so scores
-and gradients are bitwise those of one thread.
+calls it on plain arrays, into a score buffer it reuses (`out=`); training's
+`batch_scores` is one tape node whose forward is the same call and whose
+backward is written by hand. The TransE backward needs the sign of every
+(query, entity, dimension) difference; it sums them as float-masked column
+blocks plus an exact-tie pass (`_l1_adjoints`). The TransE forward is cut
+into two row ranges and its backward into two dimension ranges, one per
+worker thread (`parallel`); inside a part of a split ranking pass the
+forward runs whole on that part's thread. Each row's distances and each
+dimension's sums keep their order, so scores and gradients are bitwise
+those of one thread. A DistMult GEMM is never cut: OpenBLAS rounds a row
+differently for different row counts.
 """
 from __future__ import annotations
 
@@ -117,26 +120,32 @@ def _l1_adjoints(g: np.ndarray, query: np.ndarray, h: np.ndarray):
             tie_q[:, k] = np.bincount(rows, vals, num_queries)
             tie_t[:, k] = np.bincount(cols, vals, num_entities)
 
-    parallel.run(part, parallel.cuts(dim))
+    parallel.run(part, parallel.cuts(dim, width=g.size))
     d_query = g.sum(axis=1)[:, None] - 2.0 * above_q - tie_q
     d_tail = 2.0 * above_t - g.sum(axis=0)[:, None] + tie_t
     return d_query, d_tail
 
 
-def score_all_tails(head: str, h: np.ndarray, z: np.ndarray, src, rel) -> np.ndarray:
+def score_all_tails(head: str, h: np.ndarray, z: np.ndarray, src, rel,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """Plain-array scores of all N entities as tail.
 
     Id arrays of length B give a (B, N) block; scalar ids give the (N,) row
-    of the same computation.
+    of the same computation. `out`, a C-contiguous float64 array of that
+    shape, receives the scores and is returned; its bits are those of a call
+    without it.
     """
     src = np.asarray(src, dtype=np.intp)
     rel = np.asarray(rel, dtype=np.intp)
     _check_ids(src, rel, h.shape[0], z.shape[0])
+    if head not in SCORE_HEADS:
+        raise ValueError(f"unknown score head: {head!r} (expected one of {SCORE_HEADS})")
+    query = h[src] + z[rel] if head == "transe" else h[src] * z[rel]
+    queries = np.atleast_2d(query)
+    if out is None:
+        out = np.empty((queries.shape[0], h.shape[0]) if query.ndim == 2 else h.shape[0])
+    scores = out if query.ndim == 2 else out[None, :]
     if head == "transe":
-        query = h[src] + z[rel]
-        queries = np.atleast_2d(query)
-        scores = np.empty((queries.shape[0], h.shape[0]))
-
         # cdist sums |x - h_t| pair by pair, so a row's bits do not depend on
         # the rows beside it; no (B, N, d) difference is allocated
         def part(lo, hi):
@@ -144,10 +153,7 @@ def score_all_tails(head: str, h: np.ndarray, z: np.ndarray, src, rel) -> np.nda
             cdist(queries[lo:hi], h, "cityblock", out=block)
             np.negative(block, out=block)
 
-        parallel.run(part, parallel.cuts(queries.shape[0]))
-    elif head == "distmult":
-        query = h[src] * z[rel]
-        scores = np.atleast_2d(query) @ h.T
+        parallel.run(part, parallel.cuts(queries.shape[0], width=h.size))
     else:
-        raise ValueError(f"unknown score head: {head!r} (expected one of {SCORE_HEADS})")
-    return scores if query.ndim == 2 else scores[0]
+        np.matmul(queries, h.T, out=scores)
+    return out

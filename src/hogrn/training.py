@@ -127,7 +127,7 @@ def bce_loss(scores: Tensor, targets: np.ndarray) -> Tensor:
     s = scores.data
     size = s.size
     cells = np.empty_like(s)
-    halves = parallel.cuts(s.shape[0])
+    halves = parallel.cuts(s.shape[0], width=s.shape[1])
 
     def forward(lo, hi):
         # +s on positive cells, -s on negative ones, without np.where's temporaries

@@ -220,6 +220,38 @@ def test_eval_empty_split_is_user_error(write_dataset, tmp_path, capsys):
     assert "'test' is empty" in capsys.readouterr().err
 
 
+def test_train_and_eval_warn_once_naming_the_first_triple_unseen_in_training(
+        write_dataset, tmp_path, capsys):
+    # valid row 1 uses relation r9 and test row 2 entity g; neither is in train
+    data = write_dataset(SIX_TRAIN, SIX_VALID + [("a", "r9", "b")],
+                         SIX_TEST + [("g", "r1", "a")])
+    out = tmp_path / "run"
+    assert main(["train", str(data), *FAST_TRAIN[:6], "--max-epochs", "1", "--quiet",
+                 "--out", str(out)]) == 0
+    want = ("warning: 1 valid and 1 test triples use entities or relations absent from "
+            "training; the first is valid row 2: (a, r9, b)\n")
+    assert capsys.readouterr().err == want
+    assert main(["eval", str(out / "checkpoint.npz"), str(data)]) == 0
+    assert capsys.readouterr().err == want
+
+
+def test_train_and_eval_do_not_warn_when_training_covers_every_triple(six_dir, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["train", str(six_dir), *FAST_TRAIN[:6], "--max-epochs", "1", "--quiet",
+                 "--out", str(out)]) == 0
+    assert main(["eval", str(out / "checkpoint.npz"), str(six_dir)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_the_unseen_warning_names_a_test_row_when_valid_is_covered(write_dataset, tmp_path, capsys):
+    data = write_dataset(SIX_TRAIN, SIX_VALID, [("g", "r1", "a"), *SIX_TEST])
+    assert main(["train", str(data), *FAST_TRAIN[:6], "--max-epochs", "1", "--quiet",
+                 "--out", str(tmp_path / "run")]) == 0
+    assert "0 valid and 1 test triples" in capsys.readouterr().err
+    assert main(["stats", str(data)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.fixture(scope="module")
 def trained_six(tmp_path_factory):
     """One 2-layer checkpoint on the six-entity dataset, shared by explain tests."""

@@ -239,3 +239,18 @@ def test_oracle_rank_agrees_on_dyadic_instances():
 def test_oracle_rank_rejects_unknown_head():
     with pytest.raises(ValueError, match="score head"):
         oracle_rank("complex", np.ones((2, 2)), np.ones((2, 2)), 0, 0, 0, EMPTY)
+
+
+@pytest.mark.parametrize("head", ["distmult", "transe"])
+def test_score_all_tails_into_out_gives_the_bits_of_a_fresh_call(head):
+    # N = 37 is not a multiple of 8, and the buffer is a row slice of a larger one
+    rng = np.random.default_rng(15)
+    h, z = rng.normal(size=(37, 9)), rng.normal(size=(5, 9))
+    src, rel = rng.integers(0, 37, size=11), rng.integers(0, 5, size=11)
+    buffer = np.full((16, 37), np.nan)
+    got = score_all_tails(head, h, z, src, rel, out=buffer[:11])
+    assert np.shares_memory(got, buffer)
+    np.testing.assert_array_equal(got, score_all_tails(head, h, z, src, rel))
+    assert np.isnan(buffer[11:]).all()
+    row = score_all_tails(head, h, z, 4, 2, out=np.empty(37))
+    np.testing.assert_array_equal(row, score_all_tails(head, h, z, 4, 2))

@@ -1,4 +1,4 @@
-"""The training step's loops split over two threads: bitwise parity and failures.
+"""The split loops of training and ranking on two threads: bitwise parity and failures.
 
 Each test sets the worker count itself, so a one-core machine still splits.
 """
@@ -14,9 +14,10 @@ from scipy.special import log_expit
 
 import hogrn.entity_updater
 from hogrn import autodiff as ad
-from hogrn import parallel, scoring
+from hogrn import evaluation, parallel, scoring
 from hogrn.autodiff import Tensor
 from hogrn.entity_updater import aggregate
+from hogrn.evaluation import evaluate_split
 from hogrn.kgdata import extend_triples
 from hogrn.optim import Adam, ParameterStore
 from hogrn.synthetic import rule_composition_kg
@@ -29,8 +30,12 @@ SMALL_EDGE_BLOCK = 7
 
 @pytest.fixture
 def use_workers(monkeypatch):
-    """use_workers(n) makes parallel.run split into n parts on n threads."""
+    """use_workers(n) makes parallel.run split into n parts on n threads.
+
+    The inline threshold is 0, so the tests' tiny loops split too.
+    """
     pools = []
+    monkeypatch.setattr(parallel, "INLINE_CELLS", 0)
 
     def use(n):
         pool = ThreadPoolExecutor(n - 1) if n > 1 else None
@@ -51,6 +56,15 @@ def test_cuts_split_on_step_multiples(use_workers):
     assert parallel.cuts(1) == [0, 1, 1]
     use_workers(1)
     assert parallel.cuts(22, SMALL_EDGE_BLOCK) == [0, 22]
+
+
+def test_loops_below_the_inline_threshold_come_back_whole(monkeypatch, use_workers):
+    use_workers(2)
+    monkeypatch.setattr(parallel, "INLINE_CELLS", 100)
+    assert parallel.cuts(10, width=9) == [0, 10]
+    assert parallel.cuts(22, SMALL_EDGE_BLOCK, 4) == [0, 22]
+    assert parallel.cuts(10, width=10) == [0, 5, 10]
+    assert parallel.cuts(22, SMALL_EDGE_BLOCK, 5) == [0, 14, 22]
 
 
 def test_parts_run_on_two_threads_and_no_more(use_workers):
@@ -93,6 +107,65 @@ def test_run_raises_the_first_error_in_part_order(use_workers):
 
     with pytest.raises(ValueError, match="part 0"):
         parallel.run(part, [0, 1, 2])
+
+
+class _CountingPool:
+    """A pool that counts what it is given and runs it on a one-thread pool."""
+
+    def __init__(self, pool):
+        self.pool, self.submitted = pool, []
+
+    def submit(self, fn, *args):
+        self.submitted.append(args)
+        return self.pool.submit(fn, *args)
+
+
+def test_empty_parts_are_never_submitted_and_a_lone_part_runs_inline(monkeypatch, use_workers):
+    use_workers(2)
+    pool = _CountingPool(parallel._pool)
+    monkeypatch.setattr(parallel, "_pool", pool)
+    seen = []
+
+    def part(lo, hi):
+        seen.append((lo, hi, threading.get_ident()))
+
+    for bounds in ([0, 3, 3], [0, 0, 3], [2, 2, 2], [0, 0, 0, 4, 4]):
+        seen.clear()
+        parallel.run(part, bounds)
+        assert [s[:2] for s in seen] == ([] if bounds[-1] == bounds[0] else [(bounds[0], bounds[-1])])
+        assert all(s[2] == threading.get_ident() for s in seen)
+    assert pool.submitted == []
+    parallel.run(part, [0, 0, 2, 2, 5])
+    assert len(pool.submitted) == 1
+
+
+def test_a_run_inside_a_part_runs_its_parts_on_that_thread_in_order(use_workers):
+    # on the one-thread pool, a nested run that submitted would wait on itself
+    use_workers(2)
+    seen = {}
+
+    def outer(lo, hi):
+        calls = seen.setdefault(lo, [])
+
+        def inner(a, b):
+            time.sleep(0.01)
+            calls.append(((a, b), threading.get_ident()))
+
+        parallel.run(inner, [0, 1, 2])
+        calls.append(("outer", threading.get_ident()))
+
+    runner = threading.Thread(target=parallel.run, args=(outer, [0, 1, 2]), daemon=True)
+    runner.start()
+    runner.join(timeout=10.0)
+    finished = not runner.is_alive()
+    while not finished and not parallel._pool._work_queue.empty():
+        parallel._pool._work_queue.get().run()  # end the deadlock, so the pool can shut down
+    assert finished, "a nested run did not finish"
+    assert sorted(seen) == [0, 1]
+    for calls in seen.values():
+        assert [c[0] for c in calls] == [(0, 1), (1, 2), "outer"]
+        assert len({c[1] for c in calls}) == 1
+    assert seen[0][0][1] != seen[1][0][1]
 
 
 def test_numpy_error_state_reaches_the_pool_thread(use_workers):
@@ -192,7 +265,8 @@ def _adam_results(steps=4, poison=None):
     """Params, moments and t after `steps` Adam steps on fixed random gradients.
 
     Parameter "wide" has 7 rows, cut at row 4 on two workers. `poison`, a
-    (row, col) of "wide", makes the last step's gradient NaN there.
+    parameter name and an index into it, makes the last step's gradient NaN
+    there; then the results are the state before and after that step.
     """
     rng = np.random.default_rng(8)
     store = ParameterStore()
@@ -203,9 +277,10 @@ def _adam_results(steps=4, poison=None):
         for _, p in store.items():
             p.grad = rng.normal(scale=3.0, size=p.data.shape)
         if poison is not None and step == steps - 1:
-            store["wide"].grad[poison] = np.nan
+            name, index = poison
+            store[name].grad[index] = np.nan
             saved = store.state_dict(), opt.state_dict()
-            with pytest.raises(FloatingPointError, match="'wide'"):
+            with pytest.raises(FloatingPointError, match=f"'{name}'"):
                 opt.step()
             return saved, (store.state_dict(), opt.state_dict())
         opt.step()
@@ -251,9 +326,15 @@ def test_adam_steps_are_bitwise_the_same_on_two_workers_and_one(use_workers):
 def test_adam_non_finite_gradient_in_the_second_half_changes_nothing(use_workers):
     use_workers(2)
     assert parallel.cuts(7) == [0, 4, 7]
-    (params_before, opt_before), (params_after, opt_after) = _adam_results(poison=(5, 2))
-    opt_before["t"] += 1  # the step count advances before the check, as on one thread
-    _assert_adam_equal((params_after, opt_after), (params_before, opt_before))
+    before, after = _adam_results(poison=("wide", (5, 2)))
+    _assert_adam_equal(after, before)
+
+
+def test_adam_non_finite_gradient_in_the_second_parameter_changes_nothing(use_workers):
+    # the first parameter, "wide", would step before "row" is reached
+    use_workers(2)
+    before, after = _adam_results(poison=("row", (0, 1)))
+    _assert_adam_equal(after, before)
 
 
 def test_transe_scores_are_bitwise_the_same_on_two_workers_and_one_and_row_by_row(use_workers):
@@ -324,3 +405,25 @@ def test_fit_is_bitwise_the_same_on_two_workers_and_one(monkeypatch, use_workers
     assert params_2.keys() == params_1.keys()
     for name in params_1:
         np.testing.assert_array_equal(params_2[name], params_1[name], err_msg=name)
+
+
+@pytest.mark.parametrize("head", ["distmult", "transe"])
+def test_evaluate_split_ranks_are_bitwise_the_same_on_two_workers_and_one(
+        monkeypatch, use_workers, head):
+    # N = 23 is not a multiple of 8; 7 rows per block cut 40 queries into five
+    # whole blocks and a 5-row one, split after the third block on two workers
+    rng = np.random.default_rng(14)
+    num_entities, num_raw = 23, 3
+    h, z = rng.normal(size=(num_entities, 6)), rng.normal(size=(2 * num_raw + 1, 6))
+    triples = np.stack([rng.integers(0, num_entities, 20), rng.integers(0, num_raw, 20),
+                        rng.integers(0, num_entities, 20)], axis=1)
+    index = {(int(s), int(r)): np.sort(rng.choice(num_entities, size=4, replace=False))
+             for s, r, _ in triples[::2]}
+    monkeypatch.setattr(evaluation, "BLOCK_CELLS", 7 * num_entities)
+    use_workers(2)
+    assert parallel.cuts(40, 7) == [0, 21, 40]
+    split = evaluate_split(head, h, z, triples, index, num_raw, keep_ranks=True)
+    use_workers(1)
+    whole = evaluate_split(head, h, z, triples, index, num_raw, keep_ranks=True)
+    np.testing.assert_array_equal(split.ranks, whole.ranks)
+    assert split.as_dict() == whole.as_dict()
