@@ -50,7 +50,7 @@ def run(part, bounds) -> None:
     order. Inline, a part's error ends the run before the later parts.
     """
     spans = [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
-    if len(spans) < 2 or _pool is None or _in_part.get():
+    if len(spans) < 2 or _in_part.get():
         for span in spans:
             part(*span)
         return

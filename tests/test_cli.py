@@ -222,7 +222,7 @@ def test_eval_empty_split_is_user_error(write_dataset, tmp_path, capsys):
 
 def test_train_and_eval_warn_once_naming_the_first_triple_unseen_in_training(
         write_dataset, tmp_path, capsys):
-    # valid row 1 uses relation r9 and test row 2 entity g; neither is in train
+    # valid row 2 uses relation r9 and test row 2 entity g (rows from 0); train has neither
     data = write_dataset(SIX_TRAIN, SIX_VALID + [("a", "r9", "b")],
                          SIX_TEST + [("g", "r1", "a")])
     out = tmp_path / "run"
@@ -247,7 +247,8 @@ def test_the_unseen_warning_names_a_test_row_when_valid_is_covered(write_dataset
     data = write_dataset(SIX_TRAIN, SIX_VALID, [("g", "r1", "a"), *SIX_TEST])
     assert main(["train", str(data), *FAST_TRAIN[:6], "--max-epochs", "1", "--quiet",
                  "--out", str(tmp_path / "run")]) == 0
-    assert "0 valid and 1 test triples" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "0 valid and 1 test triples" in err and "the first is test row 0: (g, r1, a)" in err
     assert main(["stats", str(data)]) == 0
     assert capsys.readouterr().err == ""
 

@@ -110,7 +110,7 @@ def test_run_raises_the_first_error_in_part_order(use_workers):
 
 
 class _CountingPool:
-    """A pool that counts what it is given and runs it on a one-thread pool."""
+    """A pool that records what it is given and hands it on to `pool`."""
 
     def __init__(self, pool):
         self.pool, self.submitted = pool, []
@@ -353,6 +353,8 @@ def test_transe_scores_are_bitwise_the_same_on_two_workers_and_one_and_row_by_ro
 def test_split_loops_stay_bitwise_under_fast_thread_switching(monkeypatch, use_workers, six_graph):
     # three parts, more than the cores of a two-core machine, and a thread
     # switch every microsecond: a lost or doubled write would change a value
+    # (ranking: ten queries in five 2-row blocks, so each of its runs has two
+    # blocks or one)
     monkeypatch.setattr(hogrn.entity_updater, "EDGE_BLOCK", 3)
     monkeypatch.setattr(scoring, "ENTITY_BLOCK", 2)
     rng = np.random.default_rng(6)
@@ -361,11 +363,16 @@ def test_split_loops_stay_bitwise_under_fast_thread_switching(monkeypatch, use_w
     s = rng.normal(scale=5.0, size=(7, 11))
     targets = rng.random((7, 11)) < 0.3
 
+    triples = np.array([[0, 0, 1], [2, 1, 3], [4, 2, 5], [1, 0, 0], [5, 1, 2]])
+    monkeypatch.setattr(evaluation, "BLOCK_CELLS", 2 * 6)
+
     def results():
         params, moments = _adam_results(steps=2)
+        ranks = [evaluate_split(head, h0, z0, triples, {}, 3, keep_ranks=True).ranks
+                 for head in ("distmult", "transe")]
         return (_aggregate_results(six_graph, h0, z0, c), scoring._l1_adjoints(g, query, h),
                 _bce_results(s, targets), scoring.score_all_tails("transe", h0, z0, [0, 5, 2], [6, 1, 3]),
-                [*params.values(), *moments["m"].values(), *moments["v"].values()])
+                [*params.values(), *moments["m"].values(), *moments["v"].values()], ranks)
 
     use_workers(1)
     want = results()
