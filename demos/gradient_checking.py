@@ -8,14 +8,13 @@ on purpose to show the checker actually has teeth.
 import numpy as np
 
 from hogrn.kgdata import extend_triples
-from hogrn.model import HoGRN
 from hogrn.optim import finite_difference_check
 from hogrn.synthetic import rule_composition_kg
-from hogrn.training import batch_loss, build_queries
+from hogrn.training import TrainConfig, batch_loss, build_queries
 
 store, vocab = rule_composition_kg(num_entities=20, seed=1)
 graph = extend_triples(store, vocab)
-model = HoGRN(graph, dim=4, num_layers=2, head="distmult", mask_ratio=0.0, seed=1)
+model = TrainConfig(dim=4, num_layers=2, head="distmult", mask_ratio=0.0, seed=1).build_model(graph)
 queries = build_queries(graph)
 batch = np.arange(len(queries))
 

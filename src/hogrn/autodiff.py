@@ -52,7 +52,7 @@ class Tensor:
         return self.data.shape
 
     def item(self) -> float:
-        return float(self.data.item()) if isinstance(self.data, np.ndarray) else float(self.data)
+        return float(self.data.item())
 
     def backward(self, seed=None):
         """Run reverse-mode accumulation from this node.

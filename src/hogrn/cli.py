@@ -31,7 +31,6 @@ from .evaluation import DIRECTIONS, build_filter_index, evaluate_split, filtered
 from .explain import explain, to_dot, to_records
 from .kgdata import (degree_report, export_dataset, extend_triples, load_dataset, sparsify_subset,
                      unseen_in_train_warning)
-from .model import HoGRN
 from .optim import finite_difference_check
 from .scoring import score_all_tails
 from .seeding import substream
@@ -111,8 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="key=value option file")
     p.add_argument("--out", default=".", help="output directory for checkpoint.npz and train_log.txt")
     p.add_argument("--quiet", action="store_true", help="suppress per-epoch lines on stdout")
-    p.add_argument("--ablation", choices=("hogrn-r",),
-                   help="train the ablated model without relation reasoning")
     # one flag per training option; TrainConfig.validate checks the values
     hints = get_type_hints(TrainConfig)
     for option in fields(TrainConfig):
@@ -181,10 +178,6 @@ def _cmd_train(args) -> int:
         value = getattr(args, option.name)
         if value is not None:
             options[option.name] = value
-    if args.ablation == "hogrn-r":
-        if options.get("use_reasoning") is True:
-            raise UsageError("--ablation hogrn-r conflicts with --use-reasoning")
-        options["use_reasoning"] = False
     config = TrainConfig(**options)
     config.validate()
     store, vocab = _load_with_coverage_warning(args.data_dir)
@@ -200,11 +193,10 @@ def _cmd_train(args) -> int:
     log_path.write_text("".join(entry.line() + "\n" for entry in result.history),
                         encoding="utf-8")
     checkpoint_path = out_dir / "checkpoint.npz"
-    save_checkpoint(checkpoint_path, model, optimizer, vocab, config,
+    save_checkpoint(checkpoint_path, model, optimizer, vocab,
                     extra={"best_val_mrr": result.best_val_mrr,
                            "best_epoch": result.best_epoch,
-                           "epochs_run": result.epochs_run,
-                           "ablation": args.ablation or "none"})
+                           "epochs_run": result.epochs_run})
     print(f"checkpoint written to {checkpoint_path}")
     return 0
 
@@ -238,7 +230,7 @@ def _cmd_explain(args) -> int:
                     max_len=args.max_len, top_k=args.top_k)
     if not paths:
         print(f"no paths from {args.source} to {args.target} within "
-              f"{args.max_len or model.num_layers} hop(s)")
+              f"{args.max_len or model.config.num_layers} hop(s)")
     for path in paths:
         chain = args.source
         for hop in path.hops:
@@ -282,7 +274,8 @@ def _rank_oracle_suite(seed: int, instances: int = 200) -> int:
 def _cmd_selfcheck(args) -> int:
     store, vocab = rule_composition_kg(num_entities=24, seed=args.seed)
     graph = extend_triples(store, vocab)
-    model = HoGRN(graph, dim=5, num_layers=2, head="distmult", mask_ratio=0.0, seed=args.seed)
+    model = TrainConfig(dim=5, num_layers=2, head="distmult", mask_ratio=0.0,
+                        seed=args.seed).build_model(graph)
     queries = build_queries(graph)
     batch = np.arange(min(8, len(queries)))
 
@@ -324,10 +317,7 @@ def main(argv=None) -> int:
         return 0 if not exc.code else 1
     try:
         return _COMMANDS[args.command](args)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except (FileNotFoundError, ValueError) as err:
+    except (UsageError, FileNotFoundError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except FloatingPointError as err:

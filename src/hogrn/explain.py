@@ -44,20 +44,18 @@ def normalize_attentions(attentions: list[np.ndarray], graph: ExtendedGraph) -> 
         if alpha.shape != (graph.num_edges,):
             raise ValueError(
                 f"layer {layer}: expected {graph.num_edges} attention values, got {alpha.shape}")
-        magnitude = np.abs(alpha)
+        weights = np.abs(alpha)
         denom = np.zeros(graph.num_entities, dtype=np.float64)
-        np.add.at(denom, graph.edge_tgt, magnitude)
+        np.add.at(denom, graph.edge_tgt, weights)
         dead = denom == 0.0
-        if not dead.any():
-            normalized.append(magnitude / denom[graph.edge_tgt])
-            continue
-        warnings.warn(
-            f"layer {layer}: {int(dead.sum())} entity(ies) with all-zero attention; "
-            "using uniform weights for their incoming edges")
-        edge_dead = dead[graph.edge_tgt]
-        weights = np.empty_like(magnitude)
-        weights[~edge_dead] = magnitude[~edge_dead] / denom[graph.edge_tgt[~edge_dead]]
-        weights[edge_dead] = 1.0 / graph.in_degree[graph.edge_tgt[edge_dead]]
+        denom[dead] = 1.0  # a dead target's edges divide 0 by 1 here and are overwritten below
+        weights /= denom[graph.edge_tgt]
+        if dead.any():
+            warnings.warn(
+                f"layer {layer}: {int(dead.sum())} entity(ies) with all-zero attention; "
+                "using uniform weights for their incoming edges")
+            edge_dead = dead[graph.edge_tgt]
+            weights[edge_dead] = 1.0 / graph.in_degree[graph.edge_tgt[edge_dead]]
         normalized.append(weights)
     return normalized
 

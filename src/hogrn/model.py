@@ -9,6 +9,8 @@ entirely and Z passes through unchanged (the -R ablation).
 """
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from .autodiff import Tensor
@@ -18,43 +20,30 @@ from .optim import ParameterStore, embedding_init, xavier_init
 from .relation_reasoner import MixerWeights, reason
 from .seeding import substream
 
+if TYPE_CHECKING:
+    from .training import TrainConfig
+
 
 class HoGRN:
-    """Sparse-KG embedding model with weight-free GCN and relation mixing."""
+    """Sparse-KG embedding model with weight-free GCN and relation mixing.
 
-    def __init__(
-        self,
-        graph: ExtendedGraph,
-        dim: int,
-        num_layers: int = 2,
-        head: str = "distmult",
-        mask_ratio: float = 0.1,
-        use_reasoning: bool = True,
-        seed: int = 0,
-    ):
-        if dim <= 0:
-            raise ValueError(f"dim must be positive, got {dim}")
-        if num_layers < 1:
-            raise ValueError(f"num_layers must be >= 1, got {num_layers}")
-        if not 0.0 <= mask_ratio < 1.0:
-            raise ValueError(f"mask_ratio must be in [0, 1), got {mask_ratio}")
+    `config` is validated here and kept as `self.config`, the one record of
+    the model's settings; `self.head` mirrors `config.head`.
+    """
+
+    def __init__(self, graph: ExtendedGraph, config: TrainConfig):
+        config.validate()
+        self.config = config
         self.graph = graph
-        self.dim = dim
-        self.num_layers = num_layers
-        self.head = head
-        self.mask_ratio = mask_ratio
-        self.use_reasoning = use_reasoning
-        self.num_entities = graph.num_entities
-        self.num_relations = graph.num_relations
-        self.self_loop_id = graph.self_loop_id
+        self.head = config.head
+        dim, m = config.dim, graph.num_relations
         self.params = ParameterStore()
-        rng = substream(seed, "init")
-        self.params.add("entity_embedding", embedding_init(self.num_entities, dim, rng))
-        self.params.add("relation_embedding", embedding_init(self.num_relations, dim, rng))
-        if use_reasoning:
+        rng = substream(config.seed, "init")
+        self.params.add("entity_embedding", embedding_init(graph.num_entities, dim, rng))
+        self.params.add("relation_embedding", embedding_init(m, dim, rng))
+        if config.use_reasoning:
             # mixing-block widths: M' for the inter-relation step, 2*dim intra
-            m = self.num_relations
-            for layer in range(num_layers):
+            for layer in range(config.num_layers):
                 self.params.add(f"mixer{layer}_w1", xavier_init(m, m, rng))
                 self.params.add(f"mixer{layer}_w2", xavier_init(m, m, rng))
                 self.params.add(f"mixer{layer}_w3", xavier_init(dim, 2 * dim, rng))
@@ -72,21 +61,22 @@ class HoGRN:
         self, training: bool = False, mask_rng: np.random.Generator | None = None
     ) -> tuple[Tensor, Tensor, list[np.ndarray]]:
         """Run all layers; returns final (H, Z) and per-layer edge attentions."""
-        if training and self.use_reasoning and self.mask_ratio > 0.0 and mask_rng is None:
+        cfg = self.config
+        if training and cfg.use_reasoning and cfg.mask_ratio > 0.0 and mask_rng is None:
             raise ValueError("training forward with mask_ratio > 0 needs mask_rng")
         h = self.params["entity_embedding"]
         z = self.params["relation_embedding"]
         attentions: list[np.ndarray] = []
-        for layer in range(self.num_layers):
+        for layer in range(cfg.num_layers):
             h, alpha = aggregate(h, z, self.graph)
             attentions.append(alpha)
-            if self.use_reasoning:
+            if cfg.use_reasoning:
                 z = reason(
                     z,
                     self.mixer_weights(layer),
-                    ratio=self.mask_ratio,
+                    ratio=cfg.mask_ratio,
                     rng=mask_rng,
-                    self_loop_id=self.self_loop_id,
+                    self_loop_id=self.graph.self_loop_id,
                     training=training,
                 )
         return h, z, attentions

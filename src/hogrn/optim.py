@@ -9,15 +9,15 @@ from . import parallel
 from .autodiff import Tensor
 
 
-def xavier_init(rows: int, cols: int, rng: np.random.Generator, dtype=np.float64) -> np.ndarray:
+def xavier_init(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform Xavier/Glorot draw on [-a, a] with a = sqrt(6 / (rows + cols))."""
     if rows < 1 or cols < 1:
         raise ValueError(f"matrix dimensions must be positive, got {rows}x{cols}")
     bound = np.sqrt(6.0 / (rows + cols))
-    return rng.uniform(-bound, bound, size=(rows, cols)).astype(dtype, copy=False)
+    return rng.uniform(-bound, bound, size=(rows, cols))
 
 
-def embedding_init(rows: int, cols: int, rng: np.random.Generator, dtype=np.float64) -> np.ndarray:
+def embedding_init(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform draw with unit per-coordinate variance, for embedding tables.
 
     The weight-free aggregation multiplies three embedding factors per hop
@@ -30,7 +30,7 @@ def embedding_init(rows: int, cols: int, rng: np.random.Generator, dtype=np.floa
     if rows < 1 or cols < 1:
         raise ValueError(f"matrix dimensions must be positive, got {rows}x{cols}")
     bound = np.sqrt(3.0)
-    return rng.uniform(-bound, bound, size=(rows, cols)).astype(dtype, copy=False)
+    return rng.uniform(-bound, bound, size=(rows, cols))
 
 
 class ParameterStore:

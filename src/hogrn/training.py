@@ -28,11 +28,8 @@ from .seeding import substream
 
 CHECKPOINT_VERSION = 2
 
-# the TrainConfig fields a HoGRN is built from and keeps as attributes
-_MODEL_FIELDS = ("dim", "num_layers", "head", "mask_ratio", "use_reasoning")
 
-
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     dim: int = 100
     num_layers: int = 2
@@ -79,8 +76,7 @@ class TrainConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def build_model(self, graph: ExtendedGraph) -> HoGRN:
-        self.validate()
-        return HoGRN(graph, seed=self.seed, **{name: getattr(self, name) for name in _MODEL_FIELDS})
+        return HoGRN(graph, self)
 
 
 @dataclass
@@ -227,11 +223,14 @@ def fit(
     Validation uses the filtered MRR on the valid split in the configured
     direction mode. Training stops after `patience` validations without
     improvement, and the best-scoring parameters are restored together with
-    the optimizer state they were reached with.
+    the optimizer state they were reached with. `config` must equal
+    `model.config`, so a checkpoint of the run records what it trained with.
     """
-    config.validate()
-    if model.head != config.head:
-        raise ValueError(f"model head {model.head!r} does not match config head {config.head!r}")
+    if config != model.config:
+        name = next(f.name for f in fields(config)
+                    if getattr(config, f.name) != getattr(model.config, f.name))
+        raise ValueError(f"config {name} is {getattr(config, name)!r} but the model was "
+                         f"built with {getattr(model.config, name)!r}")
     if store.valid.shape[0] == 0:
         raise ValueError("validation split is empty; early stopping needs it")
     queries = build_queries(model.graph)
@@ -302,21 +301,19 @@ def fit(
 
 
 def save_checkpoint(path, model: HoGRN, optimizer: Adam, vocab: Vocabulary,
-                    config: TrainConfig, extra: dict | None = None):
+                    extra: dict | None = None):
     """Write parameters, optimizer moments, and a JSON manifest to one .npz.
 
-    Restoring rebuilds the model and optimizer from `config` alone, so a
-    model or optimizer that `config` does not describe is refused.
+    Restoring rebuilds the model and optimizer from `model.config` alone, so
+    an optimizer whose learning rate the config does not give is refused.
     """
-    built = {name: getattr(model, name) for name in _MODEL_FIELDS} | {"lr": optimizer.lr}
-    for name, value in built.items():
-        if value != getattr(config, name):
-            raise ValueError(f"cannot save: {name} is {value!r} but config says "
-                             f"{getattr(config, name)!r}")
+    if optimizer.lr != model.config.lr:
+        raise ValueError(f"cannot save: optimizer lr is {optimizer.lr!r} but the model's "
+                         f"config says {model.config.lr!r}")
     moments = optimizer.state_dict()
     manifest = {
         "version": CHECKPOINT_VERSION,
-        "train_config": config.as_dict(),
+        "train_config": model.config.as_dict(),
         "optimizer": {"t": moments["t"]},
         "vocab_digest": vocab.digest(),
         "extra": extra or {},
@@ -343,16 +340,23 @@ def restore_model(path, store: TripleStore, vocab: Vocabulary) -> tuple[HoGRN, A
     """Rebuild the model and optimizer from a checkpoint's `train_config` and a dataset.
 
     Raises ValueError if the dataset's vocabulary does not match the digest
-    recorded at save time (ids would silently disagree otherwise).
+    recorded at save time (ids would silently disagree otherwise), or if
+    `train_config` does not name exactly the fields of `TrainConfig`.
     """
     manifest, arrays = load_checkpoint(path)
     if manifest["vocab_digest"] != vocab.digest():
         raise ValueError("checkpoint was trained on a different dataset (vocabulary digest mismatch)")
+    settings = manifest["train_config"]
+    names = {f.name for f in fields(TrainConfig)}
+    missing, unknown = sorted(names - settings.keys()), sorted(settings.keys() - names)
+    if missing or unknown:
+        raise ValueError(f"checkpoint train_config does not match TrainConfig: "
+                         f"missing {missing}, unknown {unknown}")
 
     def stored(prefix: str) -> dict[str, np.ndarray]:
         return {k[len(prefix) + 1:]: v for k, v in arrays.items() if k.startswith(prefix + "/")}
 
-    config = TrainConfig(**manifest["train_config"])
+    config = TrainConfig(**settings)
     model = config.build_model(extend_triples(store, vocab))
     model.params.load_state_dict(stored("param"))
     optimizer = Adam(model.params, lr=config.lr)

@@ -21,7 +21,6 @@ from hogrn.evaluation import (build_filter_index, constant_baseline_mrr,
                               evaluate_split, filtered_rank, oracle_rank)
 from hogrn.explain import normalize_attentions
 from hogrn.kgdata import degree_report, extend_triples, load_dataset
-from hogrn.model import HoGRN
 from hogrn.optim import finite_difference_check
 from hogrn.relation_reasoner import mask_relations
 from hogrn.scoring import score_all_tails
@@ -60,7 +59,8 @@ def test_criterion_1_full_model_gradient_check():
     started = time.perf_counter()
     worst = 0.0
     for head in ("transe", "distmult"):
-        model = HoGRN(graph, dim=4, num_layers=2, head=head, mask_ratio=0.0, seed=0)
+        config = TrainConfig(dim=4, num_layers=2, head=head, mask_ratio=0.0, seed=0)
+        model = config.build_model(graph)
 
         def loss_fn(_):
             return batch_loss(model, queries, batch, None,
@@ -120,7 +120,8 @@ def test_criterion_3_structural_invariants():
 
     store, vocab = fixtures[1]
     graph = extend_triples(store, vocab)
-    model = HoGRN(graph, dim=4, num_layers=2, head="distmult", mask_ratio=0.0, seed=0)
+    config = TrainConfig(dim=4, num_layers=2, head="distmult", mask_ratio=0.0, seed=0)
+    model = config.build_model(graph)
     _, _, attentions = model.eval_states()
     assert len(attentions) == 2
     for alpha in attentions:

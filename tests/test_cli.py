@@ -94,8 +94,8 @@ def test_train_writes_checkpoint_and_log(six_dir, tmp_path, capsys):
     assert len(log_lines) == 10
     assert all(line.startswith("epoch") for line in log_lines)
     manifest = manifest_of(out / "checkpoint.npz")
+    assert manifest["extra"].keys() == {"best_val_mrr", "best_epoch", "epochs_run"}
     assert manifest["extra"]["epochs_run"] == 10
-    assert manifest["extra"]["ablation"] == "none"
     assert manifest["train_config"]["dim"] == 4
 
 
@@ -177,22 +177,20 @@ def test_train_requires_seed(six_dir, capsys):
 
 
 def test_ablation_flag(six_dir, tmp_path, capsys):
+    # HoGRN-R, the ablation without relation reasoning
     out = tmp_path / "run"
-    assert main(["train", str(six_dir), *FAST_TRAIN, "--ablation", "hogrn-r",
+    assert main(["train", str(six_dir), *FAST_TRAIN, "--no-use-reasoning",
                  "--out", str(out)]) == 0
     capsys.readouterr()
     with np.load(out / "checkpoint.npz") as npz:
         params = sorted(k for k in npz.files if k.startswith("param/"))
     assert params == ["param/entity_embedding", "param/relation_embedding"]
     manifest = manifest_of(out / "checkpoint.npz")
-    assert manifest["extra"]["ablation"] == "hogrn-r"
+    assert "ablation" not in manifest["extra"]
     assert manifest["train_config"]["use_reasoning"] is False
-
-
-def test_ablation_conflicts_with_use_reasoning(six_dir, capsys):
-    assert main(["train", str(six_dir), *FAST_TRAIN,
-                 "--ablation", "hogrn-r", "--use-reasoning"]) == 1
-    assert "conflicts" in capsys.readouterr().err
+    # the alias that duplicated --no-use-reasoning is gone
+    assert main(["train", str(six_dir), *FAST_TRAIN, "--ablation", "hogrn-r",
+                 "--out", str(out)]) == 1
 
 
 def test_eval_reports_perfect_mrr_when_filter_removes_all_rivals(write_dataset, tmp_path, capsys):
@@ -299,6 +297,25 @@ def test_explain_unknown_entity(trained_six, capsys):
     data, ckpt = trained_six
     assert main(["explain", str(ckpt), str(data), "--source", "zzz", "--target", "a"]) == 1
     assert "unknown entity: 'zzz'" in capsys.readouterr().err
+
+
+def test_eval_refuses_a_train_config_with_missing_or_unknown_keys(trained_six, tmp_path, capsys):
+    data, ckpt = trained_six
+    with np.load(ckpt) as npz:
+        arrays = {k: npz[k] for k in npz.files}
+    manifest = manifest_of(ckpt)
+    settings = manifest["train_config"]
+    edited = tmp_path / "edited.npz"
+    for stored, message in ((settings | {"width": 3}, "missing [], unknown ['width']"),
+                            ({k: v for k, v in settings.items() if k != "dim"},
+                             "missing ['dim'], unknown []")):
+        arrays["manifest"] = np.array(json.dumps(manifest | {"train_config": stored}))
+        with open(edited, "wb") as fh:
+            np.savez(fh, **arrays)
+        assert main(["eval", str(edited), str(data)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint train_config does not match TrainConfig")
+        assert message in err
 
 
 def test_selfcheck_passes_clean(capsys):

@@ -19,11 +19,10 @@ import hogrn.training
 from hogrn import autodiff as ad
 from hogrn.autodiff import Tensor
 from hogrn.kgdata import extend_triples
-from hogrn.model import HoGRN
 from hogrn.optim import Adam
 from hogrn.seeding import substream
 from hogrn.synthetic import rule_composition_kg
-from hogrn.training import batch_loss, bce_loss, build_queries
+from hogrn.training import TrainConfig, batch_loss, bce_loss, build_queries
 
 
 def _gather_rows(a, idx):
@@ -113,7 +112,8 @@ def _train(head, seed, use_reasoning, steps):
     """Losses, per-step gradients and final parameters of a few Adam steps."""
     store, vocab = rule_composition_kg(num_entities=60, seed=seed)
     graph = extend_triples(store, vocab)
-    model = HoGRN(graph, dim=8, head=head, mask_ratio=0.3, use_reasoning=use_reasoning, seed=seed)
+    config = TrainConfig(dim=8, head=head, mask_ratio=0.3, use_reasoning=use_reasoning, seed=seed)
+    model = config.build_model(graph)
     queries = build_queries(graph)
     optimizer = Adam(model.params, lr=1e-2)
     mask_rng = substream(seed, "masking")

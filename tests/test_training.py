@@ -7,7 +7,7 @@ import pytest
 
 from hogrn.evaluation import build_filter_index, evaluate_split
 from hogrn.kgdata import extend_triples
-from hogrn.model import HoGRN
+from hogrn.optim import Adam
 from hogrn.scoring import batch_scores
 from hogrn.seeding import substream
 from hogrn.synthetic import rule_composition_kg
@@ -167,7 +167,7 @@ def test_infonce_requires_positive_temperature():
 
 
 def test_batch_loss_lambda_zero_is_pure_bce(six_graph):
-    model = HoGRN(six_graph, dim=4, mask_ratio=0.0, seed=3)
+    model = TrainConfig(dim=4, mask_ratio=0.0, seed=3).build_model(six_graph)
     queries = build_queries(six_graph)
     idx = np.arange(min(6, len(queries)))
     loss = batch_loss(model, queries, idx, None, lambda_rel=0.0, temperature=1.0)
@@ -178,7 +178,7 @@ def test_batch_loss_lambda_zero_is_pure_bce(six_graph):
 
 
 def test_batch_loss_lambda_one_is_additive(six_graph):
-    model = HoGRN(six_graph, dim=4, mask_ratio=0.0, seed=4)
+    model = TrainConfig(dim=4, mask_ratio=0.0, seed=4).build_model(six_graph)
     queries = build_queries(six_graph)
     idx = np.arange(len(queries))
     total = batch_loss(model, queries, idx, None, lambda_rel=1.0, temperature=1.0).item()
@@ -189,7 +189,7 @@ def test_batch_loss_lambda_one_is_additive(six_graph):
 
 
 def test_batch_loss_rejects_negative_lambda(six_graph):
-    model = HoGRN(six_graph, dim=3, mask_ratio=0.0)
+    model = TrainConfig(dim=3, mask_ratio=0.0).build_model(six_graph)
     queries = build_queries(six_graph)
     with pytest.raises(ValueError, match="lambda_rel"):
         batch_loss(model, queries, np.arange(2), None, lambda_rel=-0.1, temperature=1.0)
@@ -197,8 +197,8 @@ def test_batch_loss_rejects_negative_lambda(six_graph):
 
 def test_lambda_zero_gradients_identical_to_bce_only_path(six_graph):
     # gradient census: with lambda = 0 the contrastive term contributes nothing
-    model_a = HoGRN(six_graph, dim=4, mask_ratio=0.0, seed=5)
-    model_b = HoGRN(six_graph, dim=4, mask_ratio=0.0, seed=5)
+    model_a = TrainConfig(dim=4, mask_ratio=0.0, seed=5).build_model(six_graph)
+    model_b = TrainConfig(dim=4, mask_ratio=0.0, seed=5).build_model(six_graph)
     queries = build_queries(six_graph)
     idx = np.arange(len(queries))
 
@@ -215,9 +215,9 @@ def test_lambda_zero_gradients_identical_to_bce_only_path(six_graph):
 
 
 def test_zeroed_mixers_reproduce_the_ablation(six_graph):
-    full = HoGRN(six_graph, dim=4, mask_ratio=0.0, use_reasoning=True, seed=6)
-    ablated = HoGRN(six_graph, dim=4, mask_ratio=0.0, use_reasoning=False, seed=6)
-    for layer in range(full.num_layers):
+    full = TrainConfig(dim=4, mask_ratio=0.0, use_reasoning=True, seed=6).build_model(six_graph)
+    ablated = TrainConfig(dim=4, mask_ratio=0.0, use_reasoning=False, seed=6).build_model(six_graph)
+    for layer in range(full.config.num_layers):
         for name in (f"mixer{layer}_w1", f"mixer{layer}_w2",
                      f"mixer{layer}_w3", f"mixer{layer}_w4"):
             full.params[name].data[:] = 0.0
@@ -303,9 +303,14 @@ def test_fit_returns_the_optimizer_state_of_the_best_epoch():
 
 def test_fit_validates_inputs(six_dataset, six_graph):
     store, vocab = six_dataset
-    model = HoGRN(six_graph, dim=3, head="transe", mask_ratio=0.0)
-    with pytest.raises(ValueError, match="does not match config head"):
+    config = TrainConfig(dim=3, head="transe", mask_ratio=0.0)
+    model = config.build_model(six_graph)
+    # the first field that differs is named, model settings or not
+    with pytest.raises(ValueError, match="config head is 'distmult' but the model was built "
+                                         "with 'transe'"):
         fit(model, store, vocab, TrainConfig(dim=3, head="distmult"))
+    with pytest.raises(ValueError, match="config lr is 0.5 but"):
+        fit(model, store, vocab, replace(config, lr=0.5))
     empty = make_store([("a", "r", "b")])[0]
     model2 = TrainConfig(dim=3).build_model(six_graph)
     with pytest.raises(ValueError, match="validation split is empty"):
@@ -349,7 +354,7 @@ def test_checkpoint_round_trip_reproduces_evaluation(tmp_path):
     model = cfg.build_model(extend_triples(store, vocab))
     result, optimizer = fit(model, store, vocab, cfg)
     path = tmp_path / "ckpt.npz"
-    save_checkpoint(path, model, optimizer, vocab, cfg, extra={"note": 1})
+    save_checkpoint(path, model, optimizer, vocab, extra={"note": 1})
 
     restored, opt2, manifest = restore_model(path, store, vocab)
     assert manifest["extra"]["note"] == 1
@@ -384,17 +389,17 @@ def test_checkpoint_round_trip_reproduces_evaluation(tmp_path):
 
 
 def test_save_checkpoint_refuses_a_config_that_does_not_describe_the_run(tmp_path):
+    # the manifest records model.config; only the optimizer can disagree with it
     store, vocab = five_entity_dataset()
     cfg = TrainConfig(dim=4, max_epochs=1, seed=0)
     model = cfg.build_model(extend_triples(store, vocab))
     _, optimizer = fit(model, store, vocab, cfg)
-    others = {"dim": 5, "num_layers": 3, "head": "transe", "mask_ratio": 0.3,
-              "use_reasoning": False, "lr": 0.5}
-    for name, value in others.items():
-        with pytest.raises(ValueError, match=f"{name} is"):
-            save_checkpoint(tmp_path / "ckpt.npz", model, optimizer, vocab,
-                            replace(cfg, **{name: value}))
+    with pytest.raises(ValueError, match="optimizer lr is 0.5 but the model's config says 0.001"):
+        save_checkpoint(tmp_path / "ckpt.npz", model, Adam(model.params, lr=0.5), vocab)
     assert not (tmp_path / "ckpt.npz").exists()
+    save_checkpoint(tmp_path / "ckpt.npz", model, optimizer, vocab)
+    manifest, _ = load_checkpoint(tmp_path / "ckpt.npz")
+    assert manifest["train_config"] == cfg.as_dict()
 
 
 def test_checkpoint_rejects_wrong_dataset(tmp_path):
@@ -403,7 +408,7 @@ def test_checkpoint_rejects_wrong_dataset(tmp_path):
     model = cfg.build_model(extend_triples(store, vocab))
     result, optimizer = fit(model, store, vocab, cfg)
     path = tmp_path / "ckpt.npz"
-    save_checkpoint(path, model, optimizer, vocab, cfg)
+    save_checkpoint(path, model, optimizer, vocab)
     other_store, other_vocab = make_store(
         train=[("p", "q", "s"), ("s", "q", "p"), ("p", "q", "w"), ("w", "q", "x"),
                ("x", "q", "y")],
@@ -418,7 +423,7 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
     model = cfg.build_model(extend_triples(store, vocab))
     _, optimizer = fit(model, store, vocab, cfg)
     path = tmp_path / "ckpt.npz"
-    save_checkpoint(path, model, optimizer, vocab, cfg)
+    save_checkpoint(path, model, optimizer, vocab)
     with np.load(path) as npz:
         arrays = {k: npz[k] for k in npz.files}
         manifest = json.loads(str(npz["manifest"][()]))
@@ -430,4 +435,26 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
         with pytest.raises(ValueError, match="unsupported checkpoint version"):
             load_checkpoint(path)
         with pytest.raises(ValueError, match="unsupported checkpoint version"):
+            restore_model(path, store, vocab)
+
+
+def test_restore_refuses_a_train_config_with_missing_or_unknown_keys(tmp_path):
+    store, vocab = five_entity_dataset()
+    cfg = TrainConfig(dim=4, max_epochs=1, mask_ratio=0.0, seed=0)
+    model = cfg.build_model(extend_triples(store, vocab))
+    _, optimizer = fit(model, store, vocab, cfg)
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, model, optimizer, vocab)
+    with np.load(path) as npz:
+        arrays = {k: npz[k] for k in npz.files}
+        manifest = json.loads(str(npz["manifest"][()]))
+    settings = manifest["train_config"]
+    # a missing dim would otherwise rebuild at the default 100 and fail later
+    for stored, message in ((settings | {"width": 3}, r"missing \[\], unknown \['width'\]"),
+                            ({k: v for k, v in settings.items() if k != "dim"},
+                             r"missing \['dim'\], unknown \[\]")):
+        arrays["manifest"] = np.array(json.dumps(manifest | {"train_config": stored}))
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        with pytest.raises(ValueError, match=message):
             restore_model(path, store, vocab)
