@@ -1,12 +1,17 @@
 """Path explanations built from recorded aggregation attentions.
 
-Per target entity and layer, incoming edge attentions are normalized by
-absolute value so they sum to one (a target whose attentions are all zero
-falls back to uniform weights, with a warning). A prediction (source ->
-target) is explained by the simple paths between them in the extended graph:
-hop k of a path is weighted by the layer-k attention of its edge, and the
-path score is the product of its hop weights. Self-loop edges never appear
-in paths.
+The share of a hop (layer k, edge e into target t) is |alpha_k[e]| divided by
+the sum of |alpha_k| over t's in-edges, added in edge order; a target whose
+attentions are all zero falls back to uniform weights, with a warning. A
+prediction (source -> target) is explained by the simple paths between them
+in the extended graph: hop k of a path is weighted by its layer-k share, and
+the path score is the product of its hop weights. Self-loop edges never
+appear in paths.
+
+`normalize_attentions` computes every share of every layer. `explain` reads
+only the in-edges of its hop targets, one target row at a time, and takes the
+last hop of each path from the target's in-edges, so a call costs what its
+paths touch, not a pass over all edges.
 """
 from __future__ import annotations
 
@@ -36,17 +41,32 @@ class ExplainedPath:
         return len(self.hops)
 
 
+def _layer_attention(layer: int, alpha, graph: ExtendedGraph) -> np.ndarray:
+    alpha = np.asarray(alpha, dtype=np.float64)
+    if alpha.shape != (graph.num_edges,):
+        raise ValueError(
+            f"layer {layer}: expected {graph.num_edges} attention values, got {alpha.shape}")
+    return alpha
+
+
+def _in_edges(graph: ExtendedGraph, entity: int) -> np.ndarray:
+    """Edges into `entity` in edge order: its row of `graph.tgt_incidence`."""
+    incidence = graph.tgt_incidence
+    return incidence.indices[incidence.indptr[entity]:incidence.indptr[entity + 1]]
+
+
 def normalize_attentions(attentions: list[np.ndarray], graph: ExtendedGraph) -> list[np.ndarray]:
-    """Per-layer |attention| shares per target; rows of zeros become uniform."""
+    """Per-layer |attention| shares per target; rows of zeros become uniform.
+
+    A target's denominator is the sum of |alpha| over its in-edges, added in
+    edge order: a row sum of `graph.tgt_incidence`, whose unit entries make
+    it bitwise an edge-by-edge `np.add.at`. `explain` adds the same row, one
+    hop target at a time.
+    """
     normalized = []
     for layer, alpha in enumerate(attentions):
-        alpha = np.asarray(alpha, dtype=np.float64)
-        if alpha.shape != (graph.num_edges,):
-            raise ValueError(
-                f"layer {layer}: expected {graph.num_edges} attention values, got {alpha.shape}")
-        weights = np.abs(alpha)
-        denom = np.zeros(graph.num_entities, dtype=np.float64)
-        np.add.at(denom, graph.edge_tgt, weights)
+        weights = np.abs(_layer_attention(layer, alpha, graph))
+        denom = graph.tgt_incidence @ weights
         dead = denom == 0.0
         denom[dead] = 1.0  # a dead target's edges divide 0 by 1 here and are overwritten below
         weights /= denom[graph.edge_tgt]
@@ -60,6 +80,30 @@ def normalize_attentions(attentions: list[np.ndarray], graph: ExtendedGraph) -> 
     return normalized
 
 
+def _in_edge_total(graph: ExtendedGraph, layer: int, alpha: np.ndarray, entity: int):
+    """Sum of |alpha| over the in-edges of `entity`, in edge order; None if it is 0.
+
+    `np.cumsum` adds left to right, as the row sum of `normalize_attentions`
+    does (`np.sum` is pairwise and would change bits). A non-finite attention
+    on one of these edges raises, naming the layer and the edge.
+    """
+    edges = _in_edges(graph, entity)
+    magnitudes = np.abs(alpha[edges])
+    total = np.cumsum(magnitudes)[-1]  # every entity has its self-loop, so the row is never empty
+    if not np.isfinite(total):
+        bad = ~np.isfinite(magnitudes)
+        if bad.any():
+            edge = int(edges[np.argmax(bad)])
+            raise ValueError(
+                f"layer {layer}: attention of edge {edge} is {alpha[edge]}, not finite")
+    if total == 0.0:
+        warnings.warn(
+            f"layer {layer}: entity {entity} has all-zero attention; "
+            "using uniform weights for its incoming edges")
+        return None
+    return total
+
+
 def enumerate_paths(
     graph: ExtendedGraph, source: int, target: int, max_len: int
 ) -> list[tuple[tuple[int, int, int], ...]]:
@@ -67,6 +111,8 @@ def enumerate_paths(
 
     Hops are (src, extended relation, tgt) over raw and inverse edges.
     Depth-first with sorted hops, so the result is in lexicographic order.
+    The last hop is looked up among the target's in-edges, not searched for
+    among a node's out-edges.
     """
     if max_len < 1:
         raise ValueError(f"max_len must be positive, got {max_len}")
@@ -76,22 +122,32 @@ def enumerate_paths(
     if source == target:
         return []
 
+    edges = _in_edges(graph, target)
+    last_hops: dict[int, list[int]] = {}  # node -> sorted relations of its edges into target
+    for s, r in zip(graph.edge_src[edges].tolist(), graph.edge_rel[edges].tolist()):
+        if r != graph.self_loop_id:
+            last_hops.setdefault(s, []).append(r)
+    for rels in last_hops.values():
+        rels.sort()
+
     paths: list[tuple[tuple[int, int, int], ...]] = []
     trail: list[tuple[int, int, int]] = []
     visited = {source}
 
     def walk(node: int, depth: int):
+        if depth + 1 == max_len:
+            for rel in last_hops.get(node, ()):
+                paths.append((*trail, (node, rel, target)))
+            return
         for rel, tgt in graph.out_edges(node):
-            if tgt in visited:
-                continue
-            trail.append((node, rel, tgt))
             if tgt == target:
-                paths.append(tuple(trail))
-            elif depth + 1 < max_len:
+                paths.append((*trail, (node, rel, tgt)))
+            elif tgt not in visited and (depth + 2 < max_len or tgt in last_hops):
+                trail.append((node, rel, tgt))
                 visited.add(tgt)
                 walk(tgt, depth + 1)
                 visited.discard(tgt)
-            trail.pop()
+                trail.pop()
 
     walk(source, 0)
     return paths
@@ -109,7 +165,9 @@ def explain(
 
     Hop k of a path uses the layer-k attention record, so `max_len` cannot
     exceed the number of recorded layers. Ties in score fall back to the
-    lexicographic hop order, keeping the result deterministic.
+    lexicographic hop order, keeping the result deterministic. Each weight
+    is bitwise the one `normalize_attentions` gives its edge; the in-edge
+    sums are made only for the hop targets, once per (layer, target).
     """
     num_layers = len(attentions)
     if max_len is None:
@@ -117,14 +175,25 @@ def explain(
     if max_len > num_layers:
         raise ValueError(
             f"max_len {max_len} exceeds the {num_layers} recorded layer(s)")
-    weights = normalize_attentions(attentions, graph)
+    alphas = [_layer_attention(layer, alpha, graph) for layer, alpha in enumerate(attentions)]
+    totals: dict[tuple[int, int], np.float64 | None] = {}
+
+    def share(layer: int, edge: int, tgt: int) -> float:
+        key = (layer, tgt)
+        if key not in totals:
+            totals[key] = _in_edge_total(graph, layer, alphas[layer], tgt)
+        total = totals[key]
+        if total is None:
+            return float(1.0 / graph.in_degree[tgt])
+        return float(abs(alphas[layer][edge]) / total)
+
     explained = []
     for path in enumerate_paths(graph, source, target, max_len):
         hops = []
         score = 1.0
         for k, (s, r, t) in enumerate(path):
             edge = graph.edge_position(s, r, t)
-            w = float(weights[k][edge])
+            w = share(k, edge, t)
             hops.append(PathHop(src=s, rel=r, tgt=t, edge=edge, weight=w))
             score *= w
         explained.append(ExplainedPath(hops=tuple(hops), score=score))

@@ -9,8 +9,10 @@ patience counter; the best parameters are restored before returning.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -47,13 +49,14 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self):
+        # every range check is written so that NaN fails it; the float ones also refuse inf
         if self.dim < 1:
             raise ValueError(f"dim must be positive, got {self.dim}")
         if self.num_layers < 1:
             raise ValueError(f"num_layers must be positive, got {self.num_layers}")
         if self.head not in SCORE_HEADS:
             raise ValueError(f"head must be one of {SCORE_HEADS}, got {self.head!r}")
-        if self.lr <= 0.0:
+        if not 0.0 < self.lr < math.inf:
             raise ValueError(f"lr must be positive, got {self.lr}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
@@ -63,9 +66,9 @@ class TrainConfig:
             raise ValueError(f"patience must be positive, got {self.patience}")
         if not 0.0 <= self.mask_ratio < 1.0:
             raise ValueError(f"mask_ratio must be in [0, 1), got {self.mask_ratio}")
-        if self.lambda_rel < 0.0:
+        if not 0.0 <= self.lambda_rel < math.inf:
             raise ValueError(f"lambda_rel must be non-negative, got {self.lambda_rel}")
-        if self.temperature <= 0.0:
+        if not 0.0 < self.temperature < math.inf:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
         if self.direction not in DIRECTIONS:
             raise ValueError(f"direction must be one of {DIRECTIONS}, got {self.direction!r}")
@@ -341,7 +344,8 @@ def restore_model(path, store: TripleStore, vocab: Vocabulary) -> tuple[HoGRN, A
 
     Raises ValueError if the dataset's vocabulary does not match the digest
     recorded at save time (ids would silently disagree otherwise), or if
-    `train_config` does not name exactly the fields of `TrainConfig`.
+    `train_config` does not name exactly the fields of `TrainConfig` with
+    values of their types (no bool for an int; an int is fine for a float).
     """
     manifest, arrays = load_checkpoint(path)
     if manifest["vocab_digest"] != vocab.digest():
@@ -352,6 +356,11 @@ def restore_model(path, store: TripleStore, vocab: Vocabulary) -> tuple[HoGRN, A
     if missing or unknown:
         raise ValueError(f"checkpoint train_config does not match TrainConfig: "
                          f"missing {missing}, unknown {unknown}")
+    for name, typ in get_type_hints(TrainConfig).items():
+        value = settings[name]
+        if type(value) not in ((int, float) if typ is float else (typ,)):  # bool is not an int here
+            raise ValueError(f"checkpoint train_config field {name!r} must be of type "
+                             f"{typ.__name__}, got {value!r}")
 
     def stored(prefix: str) -> dict[str, np.ndarray]:
         return {k[len(prefix) + 1:]: v for k, v in arrays.items() if k.startswith(prefix + "/")}

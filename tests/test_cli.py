@@ -120,6 +120,19 @@ def test_train_flag_overrides_config_file(six_dir, tmp_path, capsys):
     assert manifest["train_config"]["max_epochs"] == 3
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--lr", "nan", "lr must be positive, got nan"),
+    ("--lr", "inf", "lr must be positive, got inf"),
+    ("--lambda-rel", "inf", "lambda_rel must be non-negative, got inf"),
+    ("--temperature", "nan", "temperature must be positive, got nan"),
+])
+def test_train_refuses_non_finite_options(six_dir, tmp_path, capsys, flag, value, message):
+    out = tmp_path / "run"
+    assert main(["train", str(six_dir), *FAST_TRAIN, flag, value, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_config_file_errors(six_dir, tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("volume = 11\n")
@@ -316,6 +329,22 @@ def test_eval_refuses_a_train_config_with_missing_or_unknown_keys(trained_six, t
         err = capsys.readouterr().err
         assert err.startswith("error: checkpoint train_config does not match TrainConfig")
         assert message in err
+
+
+def test_eval_refuses_a_train_config_value_of_the_wrong_type(trained_six, tmp_path, capsys):
+    data, ckpt = trained_six
+    with np.load(ckpt) as npz:
+        arrays = {k: npz[k] for k in npz.files}
+    manifest = manifest_of(ckpt)
+    edited = tmp_path / "edited.npz"
+    for value in ("4", True):
+        stored = manifest["train_config"] | {"dim": value}
+        arrays["manifest"] = np.array(json.dumps(manifest | {"train_config": stored}))
+        with open(edited, "wb") as fh:
+            np.savez(fh, **arrays)
+        assert main(["eval", str(edited), str(data)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: checkpoint train_config field 'dim' must be of type int, got {value!r}\n")
 
 
 def test_selfcheck_passes_clean(capsys):

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from hogrn.explain import (
+    ExplainedPath,
+    PathHop,
     enumerate_paths,
     explain,
     normalize_attentions,
@@ -157,55 +159,61 @@ def test_enumerate_paths_validation():
         enumerate_paths(graph, 0, 99, 1)
 
 
-def brute_force_count(train, num_raw, source, target, max_len):
-    """Independent path counter over raw + inverse hops, no self-loops."""
+def brute_force_paths(train, num_raw, source, target, max_len):
+    """Independent simple-path search over raw + inverse hops, no self-loops, sorted."""
     hops = {}
     for s, r, t in train.tolist():
         hops.setdefault(s, []).append((r, t))
         hops.setdefault(t, []).append((r + num_raw, s))
+    found = []
 
-    def count(node, seen, depth):
-        if depth > max_len:
-            return 0
-        total = 0
+    def extend(node, seen, trail):
         for rel, nxt in hops.get(node, ()):
+            hop = trail + ((node, rel, nxt),)
             if nxt == target:
-                total += 1
-            elif nxt not in seen and depth < max_len:
-                total += count(nxt, seen | {nxt}, depth + 1)
-        return total
+                found.append(hop)
+            elif nxt not in seen and len(hop) < max_len:
+                extend(nxt, seen | {nxt}, hop)
 
-    # depth counts hops used so far; a hop into target ends a path
-    def count_from(node, seen, used):
-        total = 0
-        for rel, nxt in hops.get(node, ()):
-            if used + 1 > max_len:
-                break
-            if nxt == target:
-                total += 1
-            if nxt != target and nxt not in seen and used + 1 < max_len:
-                total += count_from(nxt, seen | {nxt}, used + 1)
-        return total
+    if source != target:
+        extend(source, {source}, ())
+    return sorted(found)
 
-    return count_from(source, {source}, 0)
+
+def random_store(seed, num_entities=8, num_relations=2, num_triples=12):
+    rng = np.random.default_rng(seed)
+    entities = [f"e{i}" for i in range(num_entities)]
+    rels = [f"r{i}" for i in range(num_relations)]
+    triples = {(entities[rng.integers(num_entities)], rels[rng.integers(num_relations)],
+                entities[rng.integers(num_entities)]) for _ in range(num_triples)}
+    return make_store(sorted((h, r, t) for h, r, t in triples if h != t))
+
+
+def star_store(leaves=30):
+    """Hub source s and hub target t joined through `leaves` leaves, plus a direct edge
+    and a leaf chain, so both hubs have in- and out-degree above `leaves`. The last row
+    gives l0 a second edge into t whose relation id (r1) is below that of its first (r2)."""
+    triples = [("s", "r3", "t")]
+    for i in range(leaves):
+        triples += [("s", "r1", f"l{i}"), (f"l{i}", "r2", "t"), ("t", "r1", f"l{i}")]
+        if i + 1 < leaves:
+            triples.append((f"l{i}", "r1", f"l{i + 1}"))
+    return make_store(triples + [("l0", "r1", "t")])
+
+
+def path_pairs(vocab):
+    """(source, target) pairs over the first four entities; in the star they hold s and t."""
+    first = range(min(4, vocab.num_entities))
+    return [(s, t) for s in first for t in first if s != t]
 
 
 def test_enumerate_paths_count_matches_brute_force():
-    rng = np.random.default_rng(2)
-    entities = [f"e{i}" for i in range(8)]
-    rels = ["r1", "r2"]
-    triples = {(entities[rng.integers(8)], rels[rng.integers(2)], entities[rng.integers(8)])
-               for _ in range(12)}
-    triples = [(h, r, t) for h, r, t in triples if h != t]
-    store, vocab = make_store(sorted(triples))
-    graph = extend_triples(store, vocab)
-    for source in range(min(4, vocab.num_entities)):
-        for target in range(min(4, vocab.num_entities)):
-            if source == target:
-                continue
+    for store, vocab in (random_store(2), star_store()):
+        graph = extend_triples(store, vocab)
+        for source, target in path_pairs(vocab):
             for max_len in (1, 2, 3):
-                got = len(enumerate_paths(graph, source, target, max_len))
-                want = brute_force_count(store.train, vocab.num_relations,
+                got = enumerate_paths(graph, source, target, max_len)
+                want = brute_force_paths(store.train, vocab.num_relations,
                                          source, target, max_len)
                 assert got == want, (source, target, max_len)
 
@@ -288,6 +296,124 @@ def test_explain_hop_k_uses_layer_k_weights():
     direct = explain(graph, attentions, a, b, max_len=1)
     assert len(direct) == 1
     assert direct[0].score == pytest.approx(0.8, abs=1e-12)  # layer-0 share of (a, r, b)
+
+
+def reference_explain(store, vocab, graph, attentions, source, target, max_len):
+    """explain rebuilt from the whole-graph shares and the independent path search."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        shares = normalize_attentions(attentions, graph)
+    explained = []
+    for path in brute_force_paths(store.train, vocab.num_relations, source, target, max_len):
+        hops = []
+        score = 1.0
+        for k, (s, r, t) in enumerate(path):
+            edge = graph.edge_position(s, r, t)
+            hops.append(PathHop(src=s, rel=r, tgt=t, edge=edge, weight=float(shares[k][edge])))
+            score *= hops[-1].weight
+        explained.append(ExplainedPath(hops=tuple(hops), score=score))
+    explained.sort(key=lambda p: (-p.score, tuple((h.src, h.rel, h.tgt) for h in p.hops)))
+    return explained
+
+
+def bits(paths):
+    return [(p.score.hex(), [(h.src, h.rel, h.tgt, h.edge, h.weight.hex()) for h in p.hops])
+            for p in paths]
+
+
+def random_attentions(graph, seed, dead_per_layer=0):
+    """Three layers of signed attentions; each layer zeroes every in-edge of a few targets."""
+    rng = np.random.default_rng(seed)
+    layers = []
+    for _ in range(3):
+        alpha = rng.normal(size=graph.num_edges)
+        alpha[rng.random(graph.num_edges) < 0.1] = 0.0
+        for entity in rng.choice(graph.num_entities, size=dead_per_layer, replace=False):
+            alpha[graph.edge_tgt == entity] = 0.0
+        layers.append(alpha)
+    return layers
+
+
+@pytest.mark.parametrize("dead_per_layer", [0, 2])
+def test_explain_matches_the_whole_graph_reference_bit_for_bit(dead_per_layer):
+    cases = [random_store(seed, num_entities=9, num_relations=3, num_triples=18)
+             for seed in range(4)] + [star_store()]
+    for case, (store, vocab) in enumerate(cases):
+        graph = extend_triples(store, vocab)
+        attentions = random_attentions(graph, case, dead_per_layer)
+        for source, target in path_pairs(vocab):
+            for max_len in (1, 2, 3):
+                want = reference_explain(store, vocab, graph, attentions, source, target, max_len)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    got = explain(graph, attentions, source, target, max_len=max_len)
+                assert bits(got) == bits(want), (case, source, target, max_len)
+
+
+def test_normalize_hub_rows_are_the_edge_order_sum_bit_for_bit():
+    store, vocab = star_store(leaves=300)
+    graph = extend_triples(store, vocab)
+    alpha = np.random.default_rng(5).normal(size=graph.num_edges)
+    denom = np.zeros(graph.num_entities)
+    np.add.at(denom, graph.edge_tgt, np.abs(alpha))
+    want = np.abs(alpha) / denom[graph.edge_tgt]
+    assert graph.in_degree.max() > 300
+    assert normalize_attentions([alpha], graph)[0].tobytes() == want.tobytes()
+
+
+def dead_target_setup():
+    """Triangle graph whose layer-0 attentions are zero on every in-edge of c."""
+    graph, vocab = triangle_graph()
+    a, b, c = (vocab.entity_id(e) for e in "abc")
+    alpha = np.full(graph.num_edges, 0.5)
+    alpha[graph.edge_tgt == c] = 0.0
+    return graph, (a, b, c), alpha
+
+
+def test_explain_hop_into_a_dead_target_is_uniform_and_warns_once():
+    graph, (a, b, c), alpha = dead_target_setup()
+    with pytest.warns(UserWarning) as record:
+        paths = explain(graph, [alpha, alpha], a, c, max_len=1)
+    assert [str(w.message) for w in record] == [
+        f"layer 0: entity {c} has all-zero attention; "
+        "using uniform weights for its incoming edges"]
+    assert len(paths) == 1
+    assert paths[0].hops[0].weight == 1.0 / graph.in_degree[c]
+
+
+def test_explain_warns_only_about_dead_targets_it_scores():
+    graph, (a, b, c), alpha = dead_target_setup()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        paths = explain(graph, [alpha, alpha], c, b, max_len=1)  # the hop c -> b reads only b's row
+    assert len(paths) == 1
+    # the whole-graph form still warns about the layer
+    with pytest.warns(UserWarning, match="layer 0: 1 entity\\(ies\\) with all-zero attention"):
+        normalize_attentions([alpha], graph)
+
+
+def test_explain_refuses_a_non_finite_attention_it_reads():
+    graph, vocab = triangle_graph()
+    a, b, c = (vocab.entity_id(e) for e in "abc")
+    for edge in (graph.edge_position(a, 0, b), graph.edge_position(b, graph.self_loop_id, b)):
+        for bad in (np.nan, np.inf, -np.inf):
+            alpha = np.full(graph.num_edges, 0.5)
+            alpha[edge] = bad
+            with pytest.raises(ValueError, match=f"layer 0: attention of edge {edge} is "):
+                explain(graph, [alpha], a, b, max_len=1)
+
+
+def test_explain_ignores_a_non_finite_attention_it_does_not_read():
+    graph, vocab = triangle_graph()
+    a, b, c = (vocab.entity_id(e) for e in "abc")
+    clean = np.full(graph.num_edges, 0.5)
+    want = explain(graph, [clean, clean], a, b, max_len=1)
+    # an in-edge of c in layer 0, and the hop's own edge in layer 1, which max_len 1 never reads
+    layer0, layer1 = clean.copy(), clean.copy()
+    layer0[graph.edge_position(b, 0, c)] = np.nan
+    layer1[graph.edge_position(a, 0, b)] = np.nan
+    got = explain(graph, [layer0, layer1], a, b, max_len=1)
+    assert bits(got) == bits(want)
 
 
 def test_to_dot_output_shape():

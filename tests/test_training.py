@@ -241,6 +241,20 @@ def test_train_config_validation():
             cfg.validate()
 
 
+@pytest.mark.parametrize("field, bad, message", [
+    ("lr", math.nan, "lr must be positive"), ("lr", math.inf, "lr must be positive"),
+    ("lambda_rel", math.nan, "lambda_rel must be non-negative"),
+    ("lambda_rel", math.inf, "lambda_rel must be non-negative"),
+    ("temperature", math.nan, "temperature must be positive"),
+    ("temperature", math.inf, "temperature must be positive"),
+    ("mask_ratio", math.nan, r"mask_ratio must be in \[0, 1\)"),
+    ("mask_ratio", math.inf, r"mask_ratio must be in \[0, 1\)"),
+])
+def test_train_config_refuses_non_finite_values(field, bad, message):
+    with pytest.raises(ValueError, match=message):
+        TrainConfig(**{field: bad}).validate()
+
+
 def test_fit_loss_trend_on_five_entity_graph():
     # 200 epochs, full batch: the loss falls over >= 90% of 20-epoch windows
     store, vocab = five_entity_dataset()
@@ -458,3 +472,31 @@ def test_restore_refuses_a_train_config_with_missing_or_unknown_keys(tmp_path):
             np.savez(fh, **arrays)
         with pytest.raises(ValueError, match=message):
             restore_model(path, store, vocab)
+
+
+def test_restore_refuses_a_train_config_value_of_the_wrong_type(tmp_path):
+    store, vocab = five_entity_dataset()
+    cfg = TrainConfig(dim=4, max_epochs=1, mask_ratio=0.0, seed=0)
+    model = cfg.build_model(extend_triples(store, vocab))
+    _, optimizer = fit(model, store, vocab, cfg)
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, model, optimizer, vocab)
+    with np.load(path) as npz:
+        arrays = {k: npz[k] for k in npz.files}
+        manifest = json.loads(str(npz["manifest"][()]))
+    settings = manifest["train_config"]
+
+    def restored_with(**changes):
+        arrays["manifest"] = np.array(json.dumps(manifest | {"train_config": settings | changes}))
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        return restore_model(path, store, vocab)
+
+    for name, value, kind in (("dim", "4", "int"), ("dim", True, "int"), ("dim", 4.0, "int"),
+                              ("lr", "0.001", "float"), ("mask_ratio", False, "float"),
+                              ("use_reasoning", 1, "bool"), ("head", None, "str")):
+        with pytest.raises(ValueError, match=f"field '{name}' must be of type {kind}, got {value!r}"):
+            restored_with(**{name: value})
+    # an int is a fine float: 0 and 1 rebuild the same model as 0.0 and 1.0
+    restored, _, _ = restored_with(mask_ratio=0, temperature=1)
+    assert restored.config == cfg
