@@ -59,14 +59,15 @@ def normalize_attentions(attentions: list[np.ndarray], graph: ExtendedGraph) -> 
     """Per-layer |attention| shares per target; rows of zeros become uniform.
 
     A target's denominator is the sum of |alpha| over its in-edges, added in
-    edge order: a row sum of `graph.tgt_incidence`, whose unit entries make
-    it bitwise an edge-by-edge `np.add.at`. `explain` adds the same row, one
-    hop target at a time.
+    edge order by `np.add.at` (at FB15K-237-10% shape faster than the
+    int64-indexed `tgt_incidence` product, with the same bits). `explain`
+    adds the same sum one hop target at a time.
     """
     normalized = []
     for layer, alpha in enumerate(attentions):
         weights = np.abs(_layer_attention(layer, alpha, graph))
-        denom = graph.tgt_incidence @ weights
+        denom = np.zeros(graph.num_entities, dtype=np.float64)
+        np.add.at(denom, graph.edge_tgt, weights)
         dead = denom == 0.0
         denom[dead] = 1.0  # a dead target's edges divide 0 by 1 here and are overwritten below
         weights /= denom[graph.edge_tgt]
@@ -83,9 +84,10 @@ def normalize_attentions(attentions: list[np.ndarray], graph: ExtendedGraph) -> 
 def _in_edge_total(graph: ExtendedGraph, layer: int, alpha: np.ndarray, entity: int):
     """Sum of |alpha| over the in-edges of `entity`, in edge order; None if it is 0.
 
-    `np.cumsum` adds left to right, as the row sum of `normalize_attentions`
-    does (`np.sum` is pairwise and would change bits). A non-finite attention
-    on one of these edges raises, naming the layer and the edge.
+    The edges are `entity`'s row of `graph.tgt_incidence`, and `np.cumsum`
+    adds them left to right, as `normalize_attentions` does (`np.sum` is
+    pairwise and would change bits). A non-finite attention on one of these
+    edges raises, naming the layer and the edge.
     """
     edges = _in_edges(graph, entity)
     magnitudes = np.abs(alpha[edges])
@@ -122,13 +124,15 @@ def enumerate_paths(
     if source == target:
         return []
 
+    # The last hop: target's in-edges other than its self-loop, sorted by (source,
+    # relation), and the set of their sources. A dict of per-source lists makes
+    # about two objects per in-edge on every call; on the FB15K-237-10% inference
+    # benchmark (2-core Xeon VM) that raised peak RSS by about 1.5 MB.
     edges = _in_edges(graph, target)
-    last_hops: dict[int, list[int]] = {}  # node -> sorted relations of its edges into target
-    for s, r in zip(graph.edge_src[edges].tolist(), graph.edge_rel[edges].tolist()):
-        if r != graph.self_loop_id:
-            last_hops.setdefault(s, []).append(r)
-    for rels in last_hops.values():
-        rels.sort()
+    edges = edges[graph.edge_rel[edges] != graph.self_loop_id]
+    edges = edges[np.lexsort((graph.edge_rel[edges], graph.edge_src[edges]))]
+    last_src, last_rel = graph.edge_src[edges], graph.edge_rel[edges]
+    into_target = set(last_src.tolist())
 
     paths: list[tuple[tuple[int, int, int], ...]] = []
     trail: list[tuple[int, int, int]] = []
@@ -136,13 +140,16 @@ def enumerate_paths(
 
     def walk(node: int, depth: int):
         if depth + 1 == max_len:
-            for rel in last_hops.get(node, ()):
-                paths.append((*trail, (node, rel, target)))
+            if node in into_target:
+                lo, hi = np.searchsorted(last_src, (node, node + 1))
+                for rel in last_rel[lo:hi].tolist():
+                    paths.append((*trail, (node, rel, target)))
             return
         for rel, tgt in graph.out_edges(node):
             if tgt == target:
                 paths.append((*trail, (node, rel, tgt)))
-            elif tgt not in visited and (depth + 2 < max_len or tgt in last_hops):
+            # a node one hop short of the limit is entered only if it has an edge into target
+            elif tgt not in visited and (depth + 2 < max_len or tgt in into_target):
                 trail.append((node, rel, tgt))
                 visited.add(tgt)
                 walk(tgt, depth + 1)
