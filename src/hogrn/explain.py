@@ -8,10 +8,11 @@ in the extended graph: hop k of a path is weighted by its layer-k share, and
 the path score is the product of its hop weights. Self-loop edges never
 appear in paths.
 
-`normalize_attentions` computes every share of every layer. `explain` reads
-only the in-edges of its hop targets, one target row at a time, and takes the
-last hop of each path from the target's in-edges, so a call costs what its
-paths touch, not a pass over all edges.
+`normalize_attentions` computes every share of every layer. `explain` works
+on the graph's edge arrays and its two edge indexes, both built with the
+graph: paths are walked along `out_edges` and end at one of the target's
+`in_edges`, and a hop's share sums only its target's in-edges. So a call,
+the first one included, costs what its paths touch, not a pass over all edges.
 """
 from __future__ import annotations
 
@@ -49,18 +50,12 @@ def _layer_attention(layer: int, alpha, graph: ExtendedGraph) -> np.ndarray:
     return alpha
 
 
-def _in_edges(graph: ExtendedGraph, entity: int) -> np.ndarray:
-    """Edges into `entity` in edge order: its row of `graph.tgt_incidence`."""
-    incidence = graph.tgt_incidence
-    return incidence.indices[incidence.indptr[entity]:incidence.indptr[entity + 1]]
-
-
 def normalize_attentions(attentions: list[np.ndarray], graph: ExtendedGraph) -> list[np.ndarray]:
     """Per-layer |attention| shares per target; rows of zeros become uniform.
 
     A target's denominator is the sum of |alpha| over its in-edges, added in
     edge order by `np.add.at` (at FB15K-237-10% shape faster than the
-    int64-indexed `tgt_incidence` product, with the same bits). `explain`
+    int64-indexed target-incidence product, with the same bits). `explain`
     adds the same sum one hop target at a time.
     """
     normalized = []
@@ -84,12 +79,12 @@ def normalize_attentions(attentions: list[np.ndarray], graph: ExtendedGraph) -> 
 def _in_edge_total(graph: ExtendedGraph, layer: int, alpha: np.ndarray, entity: int):
     """Sum of |alpha| over the in-edges of `entity`, in edge order; None if it is 0.
 
-    The edges are `entity`'s row of `graph.tgt_incidence`, and `np.cumsum`
-    adds them left to right, as `normalize_attentions` does (`np.sum` is
-    pairwise and would change bits). A non-finite attention on one of these
+    The edges are `graph.in_edges(entity)`, and `np.cumsum` adds them left
+    to right, as `normalize_attentions` does (`np.sum` is pairwise and would
+    change bits). A non-finite attention on one of these
     edges raises, naming the layer and the edge.
     """
-    edges = _in_edges(graph, entity)
+    edges = graph.in_edges(entity)
     magnitudes = np.abs(alpha[edges])
     total = np.cumsum(magnitudes)[-1]  # every entity has its self-loop, so the row is never empty
     if not np.isfinite(total):
@@ -108,13 +103,13 @@ def _in_edge_total(graph: ExtendedGraph, layer: int, alpha: np.ndarray, entity: 
 
 def enumerate_paths(
     graph: ExtendedGraph, source: int, target: int, max_len: int
-) -> list[tuple[tuple[int, int, int], ...]]:
+) -> list[tuple[int, ...]]:
     """All simple paths source -> target with at most `max_len` hops.
 
-    Hops are (src, extended relation, tgt) over raw and inverse edges.
-    Depth-first with sorted hops, so the result is in lexicographic order.
-    The last hop is looked up among the target's in-edges, not searched for
-    among a node's out-edges.
+    A path is the tuple of its edge ids, raw and inverse edges only.
+    Depth-first along `graph.out_edges`, so the paths come in lexicographic
+    order of their (src, extended relation, tgt) hops. The last hop is looked
+    up among the target's in-edges, not searched for among a node's out-edges.
     """
     if max_len < 1:
         raise ValueError(f"max_len must be positive, got {max_len}")
@@ -128,29 +123,30 @@ def enumerate_paths(
     # relation), and the set of their sources. A dict of per-source lists makes
     # about two objects per in-edge on every call; on the FB15K-237-10% inference
     # benchmark (2-core Xeon VM) that raised peak RSS by about 1.5 MB.
-    edges = _in_edges(graph, target)
-    edges = edges[graph.edge_rel[edges] != graph.self_loop_id]
-    edges = edges[np.lexsort((graph.edge_rel[edges], graph.edge_src[edges]))]
-    last_src, last_rel = graph.edge_src[edges], graph.edge_rel[edges]
+    last = graph.in_edges(target)
+    last = last[graph.edge_rel[last] != graph.self_loop_id]
+    last = last[np.lexsort((graph.edge_rel[last], graph.edge_src[last]))]
+    last_src = graph.edge_src[last]
     into_target = set(last_src.tolist())
 
-    paths: list[tuple[tuple[int, int, int], ...]] = []
-    trail: list[tuple[int, int, int]] = []
+    paths: list[tuple[int, ...]] = []
+    trail: list[int] = []
     visited = {source}
 
     def walk(node: int, depth: int):
         if depth + 1 == max_len:
             if node in into_target:
                 lo, hi = np.searchsorted(last_src, (node, node + 1))
-                for rel in last_rel[lo:hi].tolist():
-                    paths.append((*trail, (node, rel, target)))
+                for edge in last[lo:hi].tolist():
+                    paths.append((*trail, edge))
             return
-        for rel, tgt in graph.out_edges(node):
+        edges = graph.out_edges(node)
+        for edge, tgt in zip(edges.tolist(), graph.edge_tgt[edges].tolist()):
             if tgt == target:
-                paths.append((*trail, (node, rel, tgt)))
+                paths.append((*trail, edge))
             # a node one hop short of the limit is entered only if it has an edge into target
             elif tgt not in visited and (depth + 2 < max_len or tgt in into_target):
-                trail.append((node, rel, tgt))
+                trail.append(edge)
                 visited.add(tgt)
                 walk(tgt, depth + 1)
                 visited.discard(tgt)
@@ -176,6 +172,8 @@ def explain(
     is bitwise the one `normalize_attentions` gives its edge; the in-edge
     sums are made only for the hop targets, once per (layer, target).
     """
+    if top_k is not None and top_k < 1:
+        raise ValueError(f"top_k must be positive, got {top_k}")
     num_layers = len(attentions)
     if max_len is None:
         max_len = num_layers
@@ -198,18 +196,16 @@ def explain(
     for path in enumerate_paths(graph, source, target, max_len):
         hops = []
         score = 1.0
-        for k, (s, r, t) in enumerate(path):
-            edge = graph.edge_position(s, r, t)
-            w = share(k, edge, t)
-            hops.append(PathHop(src=s, rel=r, tgt=t, edge=edge, weight=w))
+        for k, e in enumerate(path):
+            # `item` per hop: cheaper than gathers for the few hops of a typical call
+            s, r, t = graph.edge_src.item(e), graph.edge_rel.item(e), graph.edge_tgt.item(e)
+            w = share(k, e, t)
+            hops.append(PathHop(src=s, rel=r, tgt=t, edge=e, weight=w))
             score *= w
         explained.append(ExplainedPath(hops=tuple(hops), score=score))
-    explained.sort(key=lambda p: (-p.score, tuple((h.src, h.rel, h.tgt) for h in p.hops)))
-    if top_k is not None:
-        if top_k < 1:
-            raise ValueError(f"top_k must be positive, got {top_k}")
-        explained = explained[:top_k]
-    return explained
+    # stable, and the paths come in lexicographic hop order, so ties keep that order
+    explained.sort(key=lambda p: -p.score)
+    return explained if top_k is None else explained[:top_k]
 
 
 def _dot_escape(text: str) -> str:

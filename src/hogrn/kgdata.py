@@ -175,12 +175,31 @@ def group_answers(src: np.ndarray, rel: np.ndarray, ans: np.ndarray):
     return src[starts], rel[starts], answers
 
 
-def _reject_duplicates(train: np.ndarray, num_entities: int, num_relations: int):
-    """Raise ValueError on the first training row that repeats an earlier one."""
-    # equal triples pack to equal keys (even if the product wraps), so no
-    # repeated key means no repeated triple
-    key = np.sort((train[:, 0] * num_relations + train[:, 1]) * num_entities + train[:, 2])
-    if not np.any(key[1:] == key[:-1]):
+def _out_edge_order(src: np.ndarray, rel: np.ndarray, tgt: np.ndarray,
+                    num_entities: int, num_relations: int):
+    """Edge ids sorted by (src, rel, tgt), and a mask of sorted neighbours that are equal.
+
+    One argsort of the packed key (src * M' + rel) * N + tgt, which is exact
+    while its largest value fits int64 (checked in Python ints); past that
+    bound `np.lexsort` sorts the three columns, about ten times slower.
+    """
+    if int(num_entities) ** 2 * int(num_relations) <= np.iinfo(np.int64).max:
+        key = (src * num_relations + rel) * num_entities + tgt
+        order = np.argsort(key)
+        key = key[order]
+        return order, key[1:] == key[:-1]
+    order = np.lexsort((tgt, rel, src))
+    s, r, t = src[order], rel[order], tgt[order]
+    return order, (s[1:] == s[:-1]) & (r[1:] == r[:-1]) & (t[1:] == t[:-1])
+
+
+def _reject_duplicates(train: np.ndarray, repeats: np.ndarray):
+    """Raise ValueError on the first training row that repeats an earlier one.
+
+    `repeats` marks equal neighbours among the sorted raw and inverse edges; a
+    repeated triple repeats its raw edge, so none marked means none repeated.
+    """
+    if not repeats.any():
         return
     order = np.lexsort((train[:, 2], train[:, 1], train[:, 0]))  # stable: ties keep row order
     ordered = train[order]
@@ -213,14 +232,17 @@ class ExtendedGraph:
     entries, each row listing its edges in edge order: `tgt_incidence`
     (N x E, entry (tgt[e], e)), `endpoint_incidence` (N x 2E, entries
     (src[e], e) and (tgt[e], E + e)) and `rel_incidence` (M' x E, entry
-    (rel[e], e)). A duplicated training triple would count its edge twice,
-    so it is rejected.
+    (rel[e], e)). `in_edges(entity)` reads a row of `tgt_incidence`.
+
+    Path search reads `out_edges(entity)`: the raw and inverse edges (ids
+    below 2|T_train|, so no self-loop) grouped by source and sorted by
+    (relation, target), from one argsort made here. A duplicated training
+    triple would count its edge twice, so it is rejected; the same sort finds it.
     """
 
     def __init__(self, train: np.ndarray, num_entities: int, num_raw_relations: int):
         if train.shape[0] == 0:
             raise ValueError("cannot extend an empty training split")
-        _reject_duplicates(train, num_entities, num_raw_relations)
         n, m = num_entities, num_raw_relations
         self.num_entities = n
         self.num_raw_relations = m
@@ -234,35 +256,27 @@ class ExtendedGraph:
         self.edge_tgt = np.concatenate([tails, heads, loop])
         self.num_edges = self.edge_src.shape[0]
 
+        hop_edges = slice(0, 2 * train.shape[0])  # raw and inverse: the edges a path may take
+        order, repeats = _out_edge_order(self.edge_src[hop_edges], self.edge_rel[hop_edges],
+                                         self.edge_tgt[hop_edges], n, self.num_relations)
+        _reject_duplicates(train, repeats)
+        self._out_order = order
+        self._out_start = np.searchsorted(self.edge_src[order], np.arange(n + 1))
+
         self.in_degree = np.bincount(self.edge_tgt, minlength=n).astype(np.float64)
         self.norm_coeff = 1.0 / np.sqrt(self.in_degree[self.edge_src] * self.in_degree[self.edge_tgt])
         self.tgt_incidence = _incidence(self.edge_tgt, n)
         self.endpoint_incidence = _incidence(np.concatenate([self.edge_src, self.edge_tgt]), n)
         self.rel_incidence = _incidence(self.edge_rel, self.num_relations)
 
-        self._edge_positions = None
-        self._out_adjacency = None
+    def out_edges(self, entity: int) -> np.ndarray:
+        """Ids of the raw and inverse edges out of `entity`, sorted by (relation, target)."""
+        return self._out_order[self._out_start[entity]:self._out_start[entity + 1]]
 
-    def edge_position(self, src: int, rel: int, tgt: int) -> int:
-        if self._edge_positions is None:
-            self._edge_positions = {
-                (s, r, t): e
-                for e, (s, r, t) in enumerate(
-                    zip(self.edge_src.tolist(), self.edge_rel.tolist(), self.edge_tgt.tolist()))
-            }
-        return self._edge_positions[(src, rel, tgt)]
-
-    def out_edges(self, entity: int) -> list[tuple[int, int]]:
-        """Outgoing (extended relation, target) hops of `entity`, sorted, self-loops excluded."""
-        if self._out_adjacency is None:
-            adj = [[] for _ in range(self.num_entities)]
-            for s, r, t in zip(self.edge_src.tolist(), self.edge_rel.tolist(), self.edge_tgt.tolist()):
-                if r != self.self_loop_id:
-                    adj[s].append((r, t))
-            for hops in adj:
-                hops.sort()
-            self._out_adjacency = adj
-        return self._out_adjacency[entity]
+    def in_edges(self, entity: int) -> np.ndarray:
+        """Ids of all edges into `entity`, its self-loop included, in edge order."""
+        incidence = self.tgt_incidence
+        return incidence.indices[incidence.indptr[entity]:incidence.indptr[entity + 1]]
 
 
 def extend_triples(store: TripleStore, vocab: Vocabulary) -> ExtendedGraph:

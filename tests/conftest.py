@@ -16,6 +16,25 @@ def make_store(train, valid=(), test=()):
     return TripleStore(to_ids(train), to_ids(valid), to_ids(test)), vocab
 
 
+def edge_id(graph, src, rel, tgt):
+    """Id of the extended edge (src, rel, tgt), found by a scan of the edge arrays."""
+    (edge,) = np.flatnonzero(
+        (graph.edge_src == src) & (graph.edge_rel == rel) & (graph.edge_tgt == tgt))
+    return int(edge)
+
+
+def star_store(leaves=30):
+    """Hub source s and hub target t joined through `leaves` leaves, plus a direct edge
+    and a leaf chain, so both hubs have in- and out-degree above `leaves`. The last row
+    gives l0 a second edge into t whose relation id (r1) is below that of its first (r2)."""
+    triples = [("s", "r3", "t")]
+    for i in range(leaves):
+        triples += [("s", "r1", f"l{i}"), (f"l{i}", "r2", "t"), ("t", "r1", f"l{i}")]
+        if i + 1 < leaves:
+            triples.append((f"l{i}", "r1", f"l{i + 1}"))
+    return make_store(triples + [("l0", "r1", "t")])
+
+
 @pytest.fixture
 def six_dataset():
     """6 entities, 3 raw relations, all present in train; used for FD and invariants."""

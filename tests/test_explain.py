@@ -1,4 +1,6 @@
+import importlib
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,16 +15,16 @@ from hogrn.explain import (
     to_dot,
     to_records,
 )
-from hogrn.kgdata import extend_triples
+from hogrn.kgdata import ExtendedGraph, extend_triples
 
-from conftest import make_store
+from conftest import edge_id, make_store, star_store
 
 
 def edge_weight_array(graph, assignments, default=0.1):
     """Attention array with chosen values on named (src, rel, tgt) edges."""
     alpha = np.full(graph.num_edges, default)
     for (s, r, t), value in assignments.items():
-        alpha[graph.edge_position(s, r, t)] = value
+        alpha[edge_id(graph, s, r, t)] = value
     return alpha
 
 
@@ -32,7 +34,7 @@ def test_normalize_isolated_entity_self_loop_gets_weight_one():
     c = vocab.entity_id("c")
     alpha = np.random.default_rng(0).uniform(0.1, 0.9, graph.num_edges)
     weights = normalize_attentions([alpha], graph)[0]
-    loop_edge = graph.edge_position(c, graph.self_loop_id, c)
+    loop_edge = edge_id(graph, c, graph.self_loop_id, c)
     assert weights[loop_edge] == pytest.approx(1.0)
 
 
@@ -46,8 +48,8 @@ def test_normalize_uses_absolute_values():
         (b, graph.self_loop_id, b): -0.6,
     })
     weights = normalize_attentions([alpha], graph)[0]
-    assert weights[graph.edge_position(a, 0, b)] == pytest.approx(0.5)
-    assert weights[graph.edge_position(b, graph.self_loop_id, b)] == pytest.approx(0.5)
+    assert weights[edge_id(graph, a, 0, b)] == pytest.approx(0.5)
+    assert weights[edge_id(graph, b, graph.self_loop_id, b)] == pytest.approx(0.5)
 
 
 def test_normalize_three_edges_hand_computed():
@@ -60,9 +62,9 @@ def test_normalize_three_edges_hand_computed():
         (c, graph.self_loop_id, c): 0.25,
     })
     weights = normalize_attentions([alpha], graph)[0]
-    assert weights[graph.edge_position(a, 0, c)] == pytest.approx(0.5, abs=1e-12)
-    assert weights[graph.edge_position(b, 0, c)] == pytest.approx(0.25, abs=1e-12)
-    assert weights[graph.edge_position(c, graph.self_loop_id, c)] == pytest.approx(0.25, abs=1e-12)
+    assert weights[edge_id(graph, a, 0, c)] == pytest.approx(0.5, abs=1e-12)
+    assert weights[edge_id(graph, b, 0, c)] == pytest.approx(0.25, abs=1e-12)
+    assert weights[edge_id(graph, c, graph.self_loop_id, c)] == pytest.approx(0.25, abs=1e-12)
 
 
 def test_normalize_sums_to_one_per_target(six_graph):
@@ -107,6 +109,12 @@ def test_normalize_validates_length(six_graph):
         normalize_attentions([np.ones(3)], six_graph)
 
 
+def hop_triples(graph, paths):
+    """Paths of edge ids as tuples of (src, rel, tgt) hops."""
+    return [tuple((int(graph.edge_src[e]), int(graph.edge_rel[e]), int(graph.edge_tgt[e]))
+                  for e in path) for path in paths]
+
+
 def triangle_graph():
     # a -> b -> c plus the direct edge a -> c
     store, vocab = make_store([("a", "r", "b"), ("b", "r", "c"), ("a", "r", "c")])
@@ -116,7 +124,7 @@ def triangle_graph():
 def test_enumerate_paths_triangle_has_two():
     graph, vocab = triangle_graph()
     a, c = vocab.entity_id("a"), vocab.entity_id("c")
-    paths = enumerate_paths(graph, a, c, max_len=2)
+    paths = hop_triples(graph, enumerate_paths(graph, a, c, max_len=2))
     assert len(paths) == 2
     assert all(p[-1][2] == c for p in paths)
     lengths = sorted(len(p) for p in paths)
@@ -126,7 +134,7 @@ def test_enumerate_paths_triangle_has_two():
 def test_enumerate_paths_lexicographic_order():
     graph, vocab = triangle_graph()
     a, c = vocab.entity_id("a"), vocab.entity_id("c")
-    paths = enumerate_paths(graph, a, c, max_len=2)
+    paths = hop_triples(graph, enumerate_paths(graph, a, c, max_len=2))
     assert paths == sorted(paths)
 
 
@@ -145,7 +153,7 @@ def test_enumerate_paths_disconnected_is_empty():
 def test_enumerate_paths_are_simple_and_skip_self_loops():
     graph, vocab = triangle_graph()
     a, c = vocab.entity_id("a"), vocab.entity_id("c")
-    for path in enumerate_paths(graph, a, c, max_len=3):
+    for path in hop_triples(graph, enumerate_paths(graph, a, c, max_len=3)):
         nodes = [path[0][0]] + [hop[2] for hop in path]
         assert len(set(nodes)) == len(nodes)
         assert all(rel != graph.self_loop_id for _, rel, _ in path)
@@ -189,18 +197,6 @@ def random_store(seed, num_entities=8, num_relations=2, num_triples=12):
     return make_store(sorted((h, r, t) for h, r, t in triples if h != t))
 
 
-def star_store(leaves=30):
-    """Hub source s and hub target t joined through `leaves` leaves, plus a direct edge
-    and a leaf chain, so both hubs have in- and out-degree above `leaves`. The last row
-    gives l0 a second edge into t whose relation id (r1) is below that of its first (r2)."""
-    triples = [("s", "r3", "t")]
-    for i in range(leaves):
-        triples += [("s", "r1", f"l{i}"), (f"l{i}", "r2", "t"), ("t", "r1", f"l{i}")]
-        if i + 1 < leaves:
-            triples.append((f"l{i}", "r1", f"l{i + 1}"))
-    return make_store(triples + [("l0", "r1", "t")])
-
-
 def path_pairs(vocab):
     """(source, target) pairs over the first four entities; in the star they hold s and t."""
     first = range(min(4, vocab.num_entities))
@@ -212,7 +208,7 @@ def test_enumerate_paths_count_matches_brute_force():
         graph = extend_triples(store, vocab)
         for source, target in path_pairs(vocab):
             for max_len in (1, 2, 3):
-                got = enumerate_paths(graph, source, target, max_len)
+                got = hop_triples(graph, enumerate_paths(graph, source, target, max_len))
                 want = brute_force_paths(store.train, vocab.num_relations,
                                          source, target, max_len)
                 assert got == want, (source, target, max_len)
@@ -285,6 +281,19 @@ def test_explain_top_k():
         explain(graph, attentions, a, d, top_k=0)
 
 
+def test_explain_checks_top_k_before_it_enumerates(monkeypatch):
+    graph, vocab, (a, b, c, d), attentions = diamond_setup()
+
+    def no_enumeration(*args):
+        raise AssertionError("enumerate_paths called")
+
+    # the package exports the function `explain`, which hides the module of that name
+    monkeypatch.setattr(importlib.import_module("hogrn.explain"), "enumerate_paths",
+                        no_enumeration)
+    with pytest.raises(ValueError, match="top_k must be positive, got 0"):
+        explain(graph, attentions, a, d, top_k=0)
+
+
 def test_explain_max_len_cannot_exceed_recorded_layers():
     graph, vocab, (a, b, c, d), attentions = diamond_setup()
     with pytest.raises(ValueError, match="max_len 3 exceeds"):
@@ -308,7 +317,7 @@ def reference_explain(store, vocab, graph, attentions, source, target, max_len):
         hops = []
         score = 1.0
         for k, (s, r, t) in enumerate(path):
-            edge = graph.edge_position(s, r, t)
+            edge = edge_id(graph, s, r, t)
             hops.append(PathHop(src=s, rel=r, tgt=t, edge=edge, weight=float(shares[k][edge])))
             score *= hops[-1].weight
         explained.append(ExplainedPath(hops=tuple(hops), score=score))
@@ -395,7 +404,7 @@ def test_explain_warns_only_about_dead_targets_it_scores():
 def test_explain_refuses_a_non_finite_attention_it_reads():
     graph, vocab = triangle_graph()
     a, b, c = (vocab.entity_id(e) for e in "abc")
-    for edge in (graph.edge_position(a, 0, b), graph.edge_position(b, graph.self_loop_id, b)):
+    for edge in (edge_id(graph, a, 0, b), edge_id(graph, b, graph.self_loop_id, b)):
         for bad in (np.nan, np.inf, -np.inf):
             alpha = np.full(graph.num_edges, 0.5)
             alpha[edge] = bad
@@ -410,10 +419,30 @@ def test_explain_ignores_a_non_finite_attention_it_does_not_read():
     want = explain(graph, [clean, clean], a, b, max_len=1)
     # an in-edge of c in layer 0, and the hop's own edge in layer 1, which max_len 1 never reads
     layer0, layer1 = clean.copy(), clean.copy()
-    layer0[graph.edge_position(b, 0, c)] = np.nan
-    layer1[graph.edge_position(a, 0, b)] = np.nan
+    layer0[edge_id(graph, b, 0, c)] = np.nan
+    layer1[edge_id(graph, a, 0, b)] = np.nan
     got = explain(graph, [layer0, layer1], a, b, max_len=1)
     assert bits(got) == bits(want)
+
+
+def test_first_explain_call_keeps_no_whole_graph_index():
+    rng = np.random.default_rng(7)
+    num_entities = 5_000
+    train = np.stack([rng.integers(num_entities, size=20_000), rng.integers(20, size=20_000),
+                      rng.integers(num_entities, size=20_000)], axis=1)
+    train = np.unique(train[train[:, 0] != train[:, 2]], axis=0)
+    graph = ExtendedGraph(train, num_entities, 20)
+    attentions = [rng.random(graph.num_edges) for _ in range(2)]
+    assert graph.num_edges > 44_000
+    source, _, target = train[0].tolist()
+    tracemalloc.start()
+    try:
+        paths = explain(graph, attentions, source, target)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert paths
+    assert kept < 1_000_000
 
 
 def test_to_dot_output_shape():

@@ -10,10 +10,11 @@ from hogrn.kgdata import (
     extend_triples,
     load_dataset,
     load_split,
+    _out_edge_order,
     sparsify_subset,
 )
 
-from conftest import make_store
+from conftest import make_store, star_store
 
 
 def known_facts(store: TripleStore) -> set[tuple[int, int, int]]:
@@ -156,17 +157,31 @@ def test_incidence_rows_list_edges_in_edge_order(six_graph):
             np.testing.assert_array_equal(cols, np.flatnonzero(rows == i))
 
 
-def test_edge_position_round_trips(six_graph):
-    for e in range(six_graph.num_edges):
-        s, r, t = six_graph.edge_src[e], six_graph.edge_rel[e], six_graph.edge_tgt[e]
-        assert six_graph.edge_position(int(s), int(r), int(t)) == e
+def test_edge_indexes_list_each_edge_once_in_order(six_graph):
+    store, vocab = star_store()
+    for g in (six_graph, extend_triples(store, vocab)):
+        listed = [g.out_edges(entity) for entity in range(g.num_entities)]
+        # the raw and inverse edges are [0, E - N); the N self-loops come last
+        np.testing.assert_array_equal(np.sort(np.concatenate(listed)),
+                                      np.arange(g.num_edges - g.num_entities))
+        for entity, edges in enumerate(listed):
+            np.testing.assert_array_equal(g.edge_src[edges], entity)
+            assert not np.any(g.edge_rel[edges] == g.self_loop_id)
+            hops = list(zip(g.edge_rel[edges].tolist(), g.edge_tgt[edges].tolist()))
+            assert hops == sorted(set(hops))
+            np.testing.assert_array_equal(g.in_edges(entity), np.flatnonzero(g.edge_tgt == entity))
 
 
-def test_out_edges_sorted_without_self_loops(six_graph):
-    for entity in range(six_graph.num_entities):
-        hops = six_graph.out_edges(entity)
-        assert hops == sorted(hops)
-        assert all(rel != six_graph.self_loop_id for rel, _ in hops)
+def test_out_edge_order_past_the_packed_key_bound_sorts_the_same(six_graph):
+    g = six_graph
+    hops = np.r_[0:g.num_edges - g.num_entities, 0]  # edge 0 twice: one repeat
+    src, rel, tgt = g.edge_src[hops], g.edge_rel[hops], g.edge_tgt[hops]
+    packed_order, packed_repeats = _out_edge_order(src, rel, tgt, g.num_entities, g.num_relations)
+    # 2**31 entities make the largest packed key exceed int64, so the columns are lexsorted
+    order, repeats = _out_edge_order(src, rel, tgt, 2**31, g.num_relations)
+    np.testing.assert_array_equal(hops[order], hops[packed_order])
+    np.testing.assert_array_equal(repeats, packed_repeats)
+    assert repeats.sum() == 1
 
 
 def test_degree_report_two_entities_one_triple():
