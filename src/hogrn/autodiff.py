@@ -58,7 +58,12 @@ class Tensor:
         """Run reverse-mode accumulation from this node.
 
         Leaf gradients are added to, never overwritten, so repeated backward
-        calls (or multi-use nodes within one graph) accumulate.
+        calls (or multi-use nodes within one graph) accumulate. Once a node's
+        backward has run, its `grad` is set to None, so a spent gradient does
+        not stay alive through the rest of the pass. Leaves (nodes without a
+        backward) and this node keep theirs: the root's `grad` accumulates the
+        seeds of repeated calls, and every other node starts each call from
+        None.
         """
         topo: list[Tensor] = []
         visited: set[int] = set()
@@ -79,6 +84,8 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                if node is not self:
+                    node.grad = None
         return self
 
     def _accumulate(self, grad: np.ndarray):

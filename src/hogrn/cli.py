@@ -218,8 +218,15 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_explain(args) -> int:
+    # both checks come before the work they would waste: loading, restoring, the forward
+    if args.top_k < 1:
+        raise UsageError(f"top_k must be positive, got {args.top_k}")
     store, vocab = load_dataset(_resolve_data_dir(args.data_dir))
     model, _, _ = restore_model(args.checkpoint, store, vocab)
+    num_layers = model.config.num_layers
+    if args.max_len is not None and not 1 <= args.max_len <= num_layers:
+        raise UsageError(f"max_len must be in 1..{num_layers} (the checkpoint's num_layers), "
+                         f"got {args.max_len}")
     try:
         source = vocab.entity_id(args.source)
         target = vocab.entity_id(args.target)
@@ -230,7 +237,7 @@ def _cmd_explain(args) -> int:
                     max_len=args.max_len, top_k=args.top_k)
     if not paths:
         print(f"no paths from {args.source} to {args.target} within "
-              f"{args.max_len or model.config.num_layers} hop(s)")
+              f"{args.max_len or num_layers} hop(s)")
     for path in paths:
         chain = args.source
         for hop in path.hops:

@@ -6,15 +6,16 @@ definition of each head: it scores (head, relation) queries against every
 entity at once, with a GEMM for DistMult and `cdist` for TransE. Ranking
 calls it on plain arrays, into a score buffer it reuses (`out=`); training's
 `batch_scores` is one tape node whose forward is the same call and whose
-backward is written by hand. The TransE backward needs the sign of every
-(query, entity, dimension) difference; it sums them as float-masked column
-blocks plus an exact-tie pass (`_l1_adjoints`). The TransE forward is cut
-into two row ranges and its backward into two dimension ranges, one per
-worker thread (`parallel`); inside a part of a split ranking pass the
-forward runs whole on that part's thread. Each row's distances and each
-dimension's sums keep their order, so scores and gradients are bitwise
-those of one thread. A DistMult GEMM is never cut: OpenBLAS rounds a row
-differently for different row counts.
+backward, `score_adjoints`, is written by hand (training's fused head shares
+both). The TransE backward needs the sign of every (query, entity,
+dimension) difference; it sums them as float-masked column blocks plus an
+exact-tie pass (`_l1_adjoints`). The TransE forward is cut into two row
+ranges and its backward into two dimension ranges, one per worker thread
+(`parallel`); inside a part of a split ranking pass the forward runs whole
+on that part's thread. Each row's distances and each dimension's sums keep
+their order, so scores and gradients are bitwise those of one thread. A
+DistMult GEMM is never cut: OpenBLAS rounds a row differently for different
+row counts.
 """
 from __future__ import annotations
 
@@ -46,28 +47,38 @@ def batch_scores(head: str, h: Tensor, z: Tensor, src_ids, rel_ids) -> Tensor:
     h_d, z_d = h.data, z.data
     scores = _checked(score_all_tails(head, h_d, z_d, src_ids, rel_ids), "batch_scores")
 
-    # the query rows are rebuilt here, so the tape holds no (B, d) copies between passes
     def backward(g):
-        h_src, z_rel = h_d[src_ids], z_d[rel_ids]
-        if head == "distmult":
-            query = h_src * z_rel
-            d_query = g @ h_d
-            d_tail = (query.T @ g).T
-            d_src, d_rel = d_query * z_rel, d_query * h_src
-        else:
-            d_query, d_tail = _l1_adjoints(g, h_src + z_rel, h_d)
-            d_src = d_rel = d_query
-        # source rows first, then the tail side: DistMult's bitwise parity with the
-        # gather/matmul tape in tests/test_fused_parity.py rests on this order
-        grad_h = np.zeros_like(h_d)
-        np.add.at(grad_h, src_ids, d_src)
-        grad_h += d_tail
-        grad_z = np.zeros_like(z_d)
-        np.add.at(grad_z, rel_ids, d_rel)
+        grad_h, grad_z = score_adjoints(head, g, h_d, z_d, src_ids, rel_ids)
         h._accumulate_owned(grad_h)
         z._accumulate_owned(grad_z)
 
     return Tensor(scores, (h, z), backward)
+
+
+def score_adjoints(head: str, g: np.ndarray, h: np.ndarray, z: np.ndarray,
+                   src_ids: np.ndarray, rel_ids: np.ndarray):
+    """Gradients (grad_h, grad_z) of a (B, N) score block for upstream `g`.
+
+    The query rows are rebuilt here, so a tape node holds no (B, d) copies
+    between its passes.
+    """
+    h_src, z_rel = h[src_ids], z[rel_ids]
+    if head == "distmult":
+        query = h_src * z_rel
+        d_query = g @ h
+        d_tail = (query.T @ g).T
+        d_src, d_rel = d_query * z_rel, d_query * h_src
+    else:
+        d_query, d_tail = _l1_adjoints(g, h_src + z_rel, h)
+        d_src = d_rel = d_query
+    # source rows first, then the tail side: DistMult's bitwise parity with the
+    # gather/matmul tape in tests/test_fused_parity.py rests on this order
+    grad_h = np.zeros_like(h)
+    np.add.at(grad_h, src_ids, d_src)
+    grad_h += d_tail
+    grad_z = np.zeros_like(z)
+    np.add.at(grad_z, rel_ids, d_rel)
+    return grad_h, grad_z
 
 
 def _l1_adjoints(g: np.ndarray, query: np.ndarray, h: np.ndarray):

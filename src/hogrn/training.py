@@ -25,7 +25,8 @@ from .evaluation import DIRECTIONS, build_filter_index, evaluate_split
 from .kgdata import ExtendedGraph, TripleStore, Vocabulary, extend_triples, group_answers
 from .model import HoGRN
 from .optim import Adam
-from .scoring import SCORE_HEADS, batch_scores
+# batch_scores is not called here; perfbench's tracer rebinds it under this name
+from .scoring import SCORE_HEADS, batch_scores, score_adjoints, score_all_tails
 from .seeding import substream
 
 CHECKPOINT_VERSION = 2
@@ -118,44 +119,95 @@ def bce_loss(scores: Tensor, targets: np.ndarray) -> Tensor:
     one thread. The backward writes the gradient into the forward's spent
     buffer.
     """
-    if scores.shape != targets.shape:
-        raise ValueError(f"scores {scores.shape} vs targets {targets.shape}")
+    positive = _positive_cells(scores.shape, targets)
+    s = scores.data
+    cells = _bce_cells(s, positive)
+    loss = _checked(-cells.mean(), "bce_loss")
+    spent = [cells]  # handed to the first backward call only; a repeat allocates
+
+    def backward(g):
+        grad = spent.pop() if spent else np.empty_like(s)
+        scores._accumulate_owned(_bce_grad(s, positive, g / s.size, grad))
+
+    return Tensor(loss, (scores,), backward)
+
+
+def one_vs_all_loss(head: str, h: Tensor, z: Tensor, src_ids, rel_ids,
+                    targets: np.ndarray) -> Tensor:
+    """`bce_loss(batch_scores(head, h, z, src_ids, rel_ids), targets)` as one tape node.
+
+    It runs the same arithmetic, so the loss and the gradients of h and z
+    are bitwise those of the two nodes. The forward keeps the score block
+    and the spent cell buffer. The first backward writes the BCE gradient
+    into that buffer, drops the scores, and hands the gradient to
+    `score_adjoints`; after it the node holds no (B, N) float array, so none
+    lives through the rest of the backward pass. A repeated backward scores
+    the block again.
+    """
+    src_ids = np.asarray(src_ids, dtype=np.intp)
+    rel_ids = np.asarray(rel_ids, dtype=np.intp)
+    h_d, z_d = h.data, z.data
+    scores = _checked(score_all_tails(head, h_d, z_d, src_ids, rel_ids), "batch_scores")
+    positive = _positive_cells(scores.shape, targets)
+    cells = _bce_cells(scores, positive)
+    loss = _checked(-cells.mean(), "bce_loss")
+    size = scores.size
+    spent = [scores, cells]
+
+    def backward(g):
+        if spent:
+            grad, s = spent.pop(), spent.pop()
+        else:
+            s = score_all_tails(head, h_d, z_d, src_ids, rel_ids)
+            grad = np.empty_like(s)
+        _bce_grad(s, positive, g / size, grad)
+        del s
+        grad_h, grad_z = score_adjoints(head, grad, h_d, z_d, src_ids, rel_ids)
+        h._accumulate_owned(grad_h)
+        z._accumulate_owned(grad_z)
+
+    return Tensor(loss, (h, z), backward)
+
+
+def _positive_cells(shape: tuple, targets: np.ndarray) -> np.ndarray:
+    """The bool mask of the positive cells of 0/1 `targets` of `shape`."""
+    if shape != targets.shape:
+        raise ValueError(f"scores {shape} vs targets {targets.shape}")
     positive = targets if targets.dtype == bool else targets == 1.0
     if np.count_nonzero(positive) != np.count_nonzero(targets):
         raise ValueError("bce_loss targets must be 0 or 1")
-    s = scores.data
-    size = s.size
-    cells = np.empty_like(s)
-    halves = parallel.cuts(s.shape[0], width=s.shape[1])
+    return positive
 
-    def forward(lo, hi):
+
+def _bce_cells(s: np.ndarray, positive: np.ndarray) -> np.ndarray:
+    """Each cell's cross-entropy -log sigmoid(+-s), in a new buffer, by row halves."""
+    cells = np.empty_like(s)
+
+    def part(lo, hi):
         # +s on positive cells, -s on negative ones, without np.where's temporaries
         out = cells[lo:hi]
         np.negative(s[lo:hi], out=out)
         np.copyto(out, s[lo:hi], where=positive[lo:hi])
         log_expit(out, out=out)
 
-    parallel.run(forward, halves)
-    loss = _checked(-cells.mean(), "bce_loss")
-    spent = [cells]  # handed to the first backward call only; a repeat allocates
+    parallel.run(part, parallel.cuts(s.shape[0], width=s.shape[1]))
+    return cells
 
-    def backward(g):
+
+def _bce_grad(s: np.ndarray, positive: np.ndarray, scale, grad: np.ndarray) -> np.ndarray:
+    """`scale` times each cell's d/ds, written into `grad` by row halves."""
+
+    def part(lo, hi):
         # d/ds of -log sigmoid(+-s) is -+sigmoid(-+s)
-        grad = spent.pop() if spent else np.empty_like(s)
-        scale = g / size
+        out, pos = grad[lo:hi], positive[lo:hi]
+        np.copyto(out, s[lo:hi])
+        np.negative(out, out=out, where=pos)
+        expit(out, out=out)
+        np.negative(out, out=out, where=pos)
+        out *= scale
 
-        def part(lo, hi):
-            out, pos = grad[lo:hi], positive[lo:hi]
-            np.copyto(out, s[lo:hi])
-            np.negative(out, out=out, where=pos)
-            expit(out, out=out)
-            np.negative(out, out=out, where=pos)
-            out *= scale
-
-        parallel.run(part, halves)
-        scores._accumulate_owned(grad)
-
-    return Tensor(loss, (scores,), backward)
+    parallel.run(part, parallel.cuts(s.shape[0], width=s.shape[1]))
+    return grad
 
 
 def infonce_loss(z: Tensor, temperature: float) -> Tensor:
@@ -177,8 +229,8 @@ def batch_loss(
     if lambda_rel < 0.0:
         raise ValueError(f"lambda_rel must be non-negative, got {lambda_rel}")
     h, z, _ = model.forward(training=True, mask_rng=mask_rng)
-    scores = batch_scores(model.head, h, z, queries.src[batch_idx], queries.rel[batch_idx])
-    loss = bce_loss(scores, queries.multi_hot(batch_idx))
+    loss = one_vs_all_loss(model.head, h, z, queries.src[batch_idx], queries.rel[batch_idx],
+                           queries.multi_hot(batch_idx))
     if lambda_rel > 0.0:
         loss = loss + infonce_loss(z, temperature) * lambda_rel
     return loss

@@ -1,6 +1,9 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from hogrn import parallel
 from hogrn.kgdata import ExtendedGraph, TripleStore, Vocabulary
 
 
@@ -74,3 +77,24 @@ def write_dataset(tmp_path):
         return directory
 
     return _write
+
+
+@pytest.fixture
+def use_workers(monkeypatch):
+    """use_workers(n) makes parallel.run split into n parts on n threads.
+
+    The inline threshold is 0, so the tests' tiny loops split too.
+    """
+    pools = []
+    monkeypatch.setattr(parallel, "INLINE_CELLS", 0)
+
+    def use(n):
+        pool = ThreadPoolExecutor(n - 1) if n > 1 else None
+        pools.append(pool)
+        monkeypatch.setattr(parallel, "WORKERS", n)
+        monkeypatch.setattr(parallel, "_pool", pool)
+
+    yield use
+    for pool in pools:
+        if pool is not None:
+            pool.shutdown()

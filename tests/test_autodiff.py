@@ -132,3 +132,18 @@ def test_operator_sugar_matches_functions():
     np.testing.assert_array_equal((a + b).data, [[4.0, 6.0]])
     np.testing.assert_array_equal((a - b).data, [[-2.0, -2.0]])
     np.testing.assert_array_equal((a * b).data, [[3.0, 8.0]])
+
+
+def test_backward_releases_spent_intermediate_grads_only():
+    x = Tensor(np.array([[2.0, -1.0]]))
+    y = x * 3.0
+    loss = ad.sum_all(y * y)
+    loss.backward()
+    assert y.grad is None
+    np.testing.assert_array_equal(x.grad, [[36.0, -18.0]])  # d/dx of sum 9x^2 is 18x
+    assert loss.grad == 1.0
+    # the root's seed accumulates (1 + 2) while every intermediate starts from None
+    loss.backward()
+    assert loss.grad == 2.0
+    assert y.grad is None
+    np.testing.assert_array_equal(x.grad, [[108.0, -54.0]])

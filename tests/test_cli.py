@@ -6,8 +6,10 @@ from dataclasses import asdict, fields
 import numpy as np
 import pytest
 
+from hogrn import cli
 from hogrn.cli import main, parse_config_file
 from hogrn.kgdata import load_dataset
+from hogrn.model import HoGRN
 from hogrn.training import TrainConfig
 
 SIX_TRAIN = [
@@ -310,6 +312,26 @@ def test_explain_unknown_entity(trained_six, capsys):
     data, ckpt = trained_six
     assert main(["explain", str(ckpt), str(data), "--source", "zzz", "--target", "a"]) == 1
     assert "unknown entity: 'zzz'" in capsys.readouterr().err
+
+
+def test_explain_checks_top_k_and_max_len_before_the_forward(trained_six, monkeypatch, capsys):
+    data, ckpt = trained_six
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the costly step ran before the arguments were checked")
+
+    monkeypatch.setattr(HoGRN, "eval_states", refuse)
+    monkeypatch.setattr(cli, "load_dataset", refuse)
+    assert main(["explain", str(ckpt), str(data), "--source", "a", "--target", "c",
+                 "--top-k", "0"]) == 1
+    assert capsys.readouterr().err == "error: top_k must be positive, got 0\n"
+    monkeypatch.undo()
+    monkeypatch.setattr(HoGRN, "eval_states", refuse)
+    for max_len in ("3", "0"):
+        assert main(["explain", str(ckpt), str(data), "--source", "a", "--target", "c",
+                     "--max-len", max_len]) == 1
+        assert capsys.readouterr().err == (
+            f"error: max_len must be in 1..2 (the checkpoint's num_layers), got {max_len}\n")
 
 
 def test_eval_refuses_a_train_config_with_missing_or_unknown_keys(trained_six, tmp_path, capsys):

@@ -3,7 +3,8 @@
 `reference_aggregate`, `reference_batch_scores` and `reference_bce_loss`
 rebuild the earlier form of these layers: a chain of small tape nodes whose
 scatters are `np.add.at`. Swapping them in for `hogrn.model.aggregate`,
-`hogrn.training.batch_scores` and `hogrn.training.bce_loss` must leave the
+`hogrn.training.batch_scores` and `hogrn.training.bce_loss` (with
+`batch_loss`'s fused head split back into those two nodes) must leave the
 loss, every gradient and the parameters after Adam steps of the full model
 unchanged to the last bit, not merely to rounding. The one exception is
 TransE scoring: `cdist` sums each L1 distance in another order than the
@@ -99,9 +100,17 @@ def reference_bce_loss(scores, targets):
     return _neg(_mean_all(pos + neg))
 
 
+def chain_head(head, h, z, src_ids, rel_ids, targets):
+    """`batch_loss`'s fused head as the two nodes it fuses, looked up by name at
+    call time, so that the references above stand in for them."""
+    scores = hogrn.training.batch_scores(head, h, z, src_ids, rel_ids)
+    return hogrn.training.bce_loss(scores, targets)
+
+
+HEAD_CHAIN = (hogrn.training, "one_vs_all_loss", chain_head)
 FUSED_LAYERS = ((hogrn.model, "aggregate", reference_aggregate),
-                (hogrn.training, "bce_loss", reference_bce_loss))
-SCORER = ((hogrn.training, "batch_scores", reference_batch_scores),)
+                (hogrn.training, "bce_loss", reference_bce_loss), HEAD_CHAIN)
+SCORER = ((hogrn.training, "batch_scores", reference_batch_scores), HEAD_CHAIN)
 # a planted-rule graph (370 or 374 edges) fits in one default edge block; blocks
 # of 7 edges end inside its raw, inverse and self-loop sections on both seeds,
 # and its last block is partial

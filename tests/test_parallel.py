@@ -1,12 +1,12 @@
 """The split loops of training and ranking on two threads: bitwise parity and failures.
 
-Each test sets the worker count itself, so a one-core machine still splits.
+Each test sets the worker count itself (the `use_workers` fixture in
+conftest.py), so a one-core machine still splits.
 """
 import sys
 import threading
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -26,27 +26,6 @@ from hogrn.training import TrainConfig, bce_loss, fit
 # blocks of 7 put the cut of six_graph's 22 edges at edge 14, inside the
 # inverse section (edges 8 to 15)
 SMALL_EDGE_BLOCK = 7
-
-
-@pytest.fixture
-def use_workers(monkeypatch):
-    """use_workers(n) makes parallel.run split into n parts on n threads.
-
-    The inline threshold is 0, so the tests' tiny loops split too.
-    """
-    pools = []
-    monkeypatch.setattr(parallel, "INLINE_CELLS", 0)
-
-    def use(n):
-        pool = ThreadPoolExecutor(n - 1) if n > 1 else None
-        pools.append(pool)
-        monkeypatch.setattr(parallel, "WORKERS", n)
-        monkeypatch.setattr(parallel, "_pool", pool)
-
-    yield use
-    for pool in pools:
-        if pool is not None:
-            pool.shutdown()
 
 
 def test_cuts_split_on_step_multiples(use_workers):

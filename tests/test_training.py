@@ -1,12 +1,13 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from hogrn.evaluation import build_filter_index, evaluate_split
-from hogrn.kgdata import extend_triples
+from hogrn.kgdata import ExtendedGraph, extend_triples
 from hogrn.optim import Adam
 from hogrn.scoring import batch_scores
 from hogrn.seeding import substream
@@ -166,15 +167,50 @@ def test_infonce_requires_positive_temperature():
         infonce_loss(Tensor(np.ones((2, 2))), 0.0)
 
 
-def test_batch_loss_lambda_zero_is_pure_bce(six_graph):
-    model = TrainConfig(dim=4, mask_ratio=0.0, seed=3).build_model(six_graph)
-    queries = build_queries(six_graph)
-    idx = np.arange(min(6, len(queries)))
-    loss = batch_loss(model, queries, idx, None, lambda_rel=0.0, temperature=1.0)
+def _two_backward_calls(model, build_loss):
+    """The loss, and every parameter gradient after one and after two backward calls."""
+    model.params.zero_grad()
+    loss = build_loss()
+    loss.backward()
+    once = model.params.gradients()
+    loss.backward()
+    return loss.item(), once, model.params.gradients()
+
+
+def _chain_loss(model, queries, idx, lambda_rel):
+    """batch_loss with the head as the two nodes batch_scores and bce_loss."""
     h, z, _ = model.forward(training=True)
     scores = batch_scores(model.head, h, z, queries.src[idx], queries.rel[idx])
-    expect = bce_loss(scores, queries.multi_hot(idx))
-    assert loss.item() == expect.item()
+    loss = bce_loss(scores, queries.multi_hot(idx))
+    return loss + infonce_loss(z, 1.0) * lambda_rel if lambda_rel > 0.0 else loss
+
+
+def _assert_same_bits(fused, chain):
+    assert fused[0] == chain[0]
+    for got, want in zip(fused[1:], chain[1:]):
+        assert got.keys() == want.keys()
+        for name in want:
+            np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+
+
+def test_batch_loss_lambda_zero_is_pure_bce(six_graph, use_workers):
+    # the fused head against the two-node chain: loss and every gradient, bitwise,
+    # after one backward call and after a second one on the same loss
+    queries = build_queries(six_graph)
+    idx = np.arange(min(6, len(queries)))
+    for head in ("distmult", "transe"):
+        for workers in (1, 2):
+            use_workers(workers)
+            model = TrainConfig(dim=4, head=head, mask_ratio=0.0, seed=3).build_model(six_graph)
+            loss = batch_loss(model, queries, idx, None, lambda_rel=0.0, temperature=1.0)
+            h, z, _ = model.forward(training=True)
+            scores = batch_scores(model.head, h, z, queries.src[idx], queries.rel[idx])
+            expect = bce_loss(scores, queries.multi_hot(idx))
+            assert loss.item() == expect.item()
+            fused = _two_backward_calls(model, lambda: batch_loss(
+                model, queries, idx, None, lambda_rel=0.0, temperature=1.0))
+            chain = _two_backward_calls(model, lambda: _chain_loss(model, queries, idx, 0.0))
+            _assert_same_bits(fused, chain)
 
 
 def test_batch_loss_lambda_one_is_additive(six_graph):
@@ -195,23 +231,63 @@ def test_batch_loss_rejects_negative_lambda(six_graph):
         batch_loss(model, queries, np.arange(2), None, lambda_rel=-0.1, temperature=1.0)
 
 
-def test_lambda_zero_gradients_identical_to_bce_only_path(six_graph):
+def test_lambda_zero_gradients_identical_to_bce_only_path(six_graph, use_workers):
     # gradient census: with lambda = 0 the contrastive term contributes nothing
-    model_a = TrainConfig(dim=4, mask_ratio=0.0, seed=5).build_model(six_graph)
-    model_b = TrainConfig(dim=4, mask_ratio=0.0, seed=5).build_model(six_graph)
     queries = build_queries(six_graph)
     idx = np.arange(len(queries))
+    for head in ("distmult", "transe"):
+        for workers in (1, 2):
+            use_workers(workers)
+            config = TrainConfig(dim=4, head=head, mask_ratio=0.0, seed=5)
+            model_a, model_b = config.build_model(six_graph), config.build_model(six_graph)
+            fused = _two_backward_calls(model_a, lambda: batch_loss(
+                model_a, queries, idx, None, lambda_rel=0.0, temperature=1.0))
+            chain = _two_backward_calls(model_b, lambda: _chain_loss(model_b, queries, idx, 0.0))
+            grads_a, grads_b = fused[1], chain[1]
+            assert set(grads_a) == set(grads_b)
+            for name in grads_a:
+                np.testing.assert_array_equal(grads_a[name], grads_b[name])
+            _assert_same_bits(fused, chain)
 
-    batch_loss(model_a, queries, idx, None, lambda_rel=0.0, temperature=1.0).backward()
-    h, z, _ = model_b.forward(training=True)
-    scores = batch_scores(model_b.head, h, z, queries.src[idx], queries.rel[idx])
-    bce_loss(scores, queries.multi_hot(idx)).backward()
 
-    grads_a = model_a.params.gradients()
-    grads_b = model_b.params.gradients()
-    assert set(grads_a) == set(grads_b)
-    for name in grads_a:
-        np.testing.assert_array_equal(grads_a[name], grads_b[name])
+@pytest.mark.parametrize("use_reasoning", [True, False])
+def test_batch_loss_with_the_relation_term_matches_the_chain_bitwise(six_graph, use_reasoning):
+    # without reasoning Z feeds both layers, the head and InfoNCE, so its
+    # gradient sums four terms whose order the fused head must keep
+    queries = build_queries(six_graph)
+    idx = np.arange(len(queries))
+    for head in ("distmult", "transe"):
+        config = TrainConfig(dim=4, head=head, mask_ratio=0.0, use_reasoning=use_reasoning, seed=7)
+        model = config.build_model(six_graph)
+        fused = _two_backward_calls(model, lambda: batch_loss(
+            model, queries, idx, None, lambda_rel=0.1, temperature=1.0))
+        chain = _two_backward_calls(model, lambda: _chain_loss(model, queries, idx, 0.1))
+        _assert_same_bits(fused, chain)
+
+
+def test_a_training_step_keeps_no_score_block_after_its_backward():
+    # the (B x N) head block dominates here: 256 x 5,000 float64 cells are 10.24 MB,
+    # against under 2 MB for each (E x d) array of the 8-wide layers
+    rng = np.random.default_rng(18)
+    num_entities, num_relations, batch = 5000, 10, 256
+    drawn = np.stack([rng.integers(0, num_entities, 12_000), rng.integers(0, num_relations, 12_000),
+                      rng.integers(0, num_entities, 12_000)], axis=1)
+    triples = np.unique(drawn[drawn[:, 0] != drawn[:, 2]], axis=0)
+    graph = ExtendedGraph(triples, num_entities, num_relations)
+    model = TrainConfig(dim=8, batch_size=batch, mask_ratio=0.0, seed=0).build_model(graph)
+    queries = build_queries(graph)
+    idx = rng.permutation(len(queries))[:batch]
+    block_bytes = batch * num_entities * 8
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        loss = batch_loss(model, queries, idx, None, lambda_rel=0.1, temperature=1.0)
+        loss.backward()
+        kept = tracemalloc.get_traced_memory()[0] - baseline
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(loss.item())  # the loss and its tape are still referenced
+    assert kept < block_bytes, f"{kept / 1e6:.2f} MB live after the step"
 
 
 def test_zeroed_mixers_reproduce_the_ablation(six_graph):
