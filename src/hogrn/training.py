@@ -25,7 +25,7 @@ from .evaluation import DIRECTIONS, build_filter_index, evaluate_split
 from .kgdata import ExtendedGraph, TripleStore, Vocabulary, extend_triples, group_answers
 from .model import HoGRN
 from .optim import Adam
-# batch_scores is not called here; perfbench's tracer rebinds it under this name
+# batch_scores is not called here: perfbench's tracer and the parity tests rebind it by this name
 from .scoring import SCORE_HEADS, batch_scores, score_adjoints, score_all_tails
 from .seeding import substream
 
@@ -161,7 +161,7 @@ def one_vs_all_loss(head: str, h: Tensor, z: Tensor, src_ids, rel_ids,
             s = score_all_tails(head, h_d, z_d, src_ids, rel_ids)
             grad = np.empty_like(s)
         _bce_grad(s, positive, g / size, grad)
-        del s
+        del s  # spent: freed before the adjoint allocates
         grad_h, grad_z = score_adjoints(head, grad, h_d, z_d, src_ids, rel_ids)
         h._accumulate_owned(grad_h)
         z._accumulate_owned(grad_z)
