@@ -24,12 +24,9 @@ def _checked(data: np.ndarray, op: str) -> np.ndarray:
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum `grad` down to `shape`, undoing numpy broadcasting."""
+    """Sum `grad` down to `shape`, undoing numpy broadcasting of an equal-rank operand."""
     if grad.shape == shape:
         return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
     axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
@@ -54,7 +51,7 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.item())
 
-    def backward(self, seed=None):
+    def backward(self):
         """Run reverse-mode accumulation from this node.
 
         Leaf gradients are added to, never overwritten, so repeated backward
@@ -80,7 +77,7 @@ class Tensor:
             for parent in node._parents:
                 if id(parent) not in visited:
                     stack.append((parent, False))
-        self._accumulate(np.ones_like(self.data) if seed is None else np.asarray(seed, dtype=self.data.dtype))
+        self._accumulate(np.ones_like(self.data))
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)

@@ -218,20 +218,21 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_explain(args) -> int:
-    # both checks come before the work they would waste: loading, restoring, the forward
+    # each check comes before the work it would waste: top_k before loading, the
+    # entity names before restoring, max_len before the forward
     if args.top_k < 1:
         raise UsageError(f"top_k must be positive, got {args.top_k}")
     store, vocab = load_dataset(_resolve_data_dir(args.data_dir))
+    try:
+        source = vocab.entity_id(args.source)
+        target = vocab.entity_id(args.target)
+    except KeyError as err:
+        raise UsageError(err.args[0]) from None
     model, _, _ = restore_model(args.checkpoint, store, vocab)
     num_layers = model.config.num_layers
     if args.max_len is not None and not 1 <= args.max_len <= num_layers:
         raise UsageError(f"max_len must be in 1..{num_layers} (the checkpoint's num_layers), "
                          f"got {args.max_len}")
-    try:
-        source = vocab.entity_id(args.source)
-        target = vocab.entity_id(args.target)
-    except KeyError as err:
-        raise UsageError(str(err)) from None
     _, _, attentions = model.eval_states()
     paths = explain(model.graph, attentions, source, target,
                     max_len=args.max_len, top_k=args.top_k)

@@ -9,7 +9,9 @@ the parts overlap. A lone part, and every part of a run started inside a
 part, runs inline on its caller's thread, in order: a nested run never waits
 on the pool its own part may be holding. Callers give the parts disjoint
 outputs and keep every summation order, so every value is bitwise the same
-for any worker count. With one worker there is no pool.
+for any worker count. With one worker there is no pool. Where the platform
+has no os.sched_getaffinity (macOS, Windows), usable cores are
+os.cpu_count() or 1.
 """
 from __future__ import annotations
 
@@ -17,7 +19,8 @@ import contextvars
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 
-WORKERS = min(2, len(os.sched_getaffinity(0)))
+WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1)
 # A loop with fewer cells than this runs as one part. A run on two threads
 # costs about 80 us more than inline on a 2-core Xeon VM (one BLAS thread,
 # median of 31 alternated repeats). There, Adam's update ran 1.7x, 1.5x and

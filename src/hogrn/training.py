@@ -245,11 +245,6 @@ class EpochLog:
     best_so_far: float
     secs: float
 
-    def as_dict(self) -> dict:
-        return {"epoch": self.epoch, "loss": self.loss, "val_mrr": self.val_mrr,
-                "improved": self.improved, "best_so_far": self.best_so_far,
-                "secs": self.secs}
-
     def line(self) -> str:
         # everything before the bracketed seconds is deterministic per seed
         return (f"epoch {self.epoch:4d}  loss {self.loss:.6f}  "
@@ -382,12 +377,28 @@ def save_checkpoint(path, model: HoGRN, optimizer: Adam, vocab: Vocabulary,
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a checkpoint back as (manifest, arrays keyed like 'param/<name>')."""
+    """Read a checkpoint back as (manifest, arrays keyed like 'param/<name>').
+
+    Raises ValueError naming the file and the key if the archive has no
+    `manifest`, or if the manifest is not an object holding `version`,
+    `train_config` (an object), `optimizer.t` and `vocab_digest`.
+    """
     with np.load(path) as npz:
+        if "manifest" not in npz.files:
+            raise ValueError(f"malformed checkpoint {path}: no 'manifest' in the archive")
         arrays = {k: npz[k].copy() for k in npz.files if k != "manifest"}
         manifest = json.loads(str(npz["manifest"][()]))
-    if manifest.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version: {manifest.get('version')!r}")
+    if not isinstance(manifest, dict):
+        raise ValueError(f"malformed checkpoint {path}: 'manifest' is not an object")
+    config, optimizer = manifest.get("train_config"), manifest.get("optimizer")
+    for what, present in (("'version'", "version" in manifest),
+                          ("'train_config' object", isinstance(config, dict)),
+                          ("'optimizer.t'", isinstance(optimizer, dict) and "t" in optimizer),
+                          ("'vocab_digest'", "vocab_digest" in manifest)):
+        if not present:
+            raise ValueError(f"malformed checkpoint {path}: manifest has no {what}")
+    if manifest["version"] != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version: {manifest['version']!r}")
     return manifest, arrays
 
 

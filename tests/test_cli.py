@@ -314,6 +314,17 @@ def test_explain_unknown_entity(trained_six, capsys):
     assert "unknown entity: 'zzz'" in capsys.readouterr().err
 
 
+def test_explain_looks_up_the_entities_before_restoring(trained_six, monkeypatch, capsys):
+    data, ckpt = trained_six
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the checkpoint was restored before the entities were looked up")
+
+    monkeypatch.setattr(cli, "restore_model", refuse)
+    assert main(["explain", str(ckpt), str(data), "--source", "zzz", "--target", "a"]) == 1
+    assert capsys.readouterr().err == "error: unknown entity: 'zzz'\n"
+
+
 def test_explain_checks_top_k_and_max_len_before_the_forward(trained_six, monkeypatch, capsys):
     data, ckpt = trained_six
 
@@ -367,6 +378,45 @@ def test_eval_refuses_a_train_config_value_of_the_wrong_type(trained_six, tmp_pa
         assert main(["eval", str(edited), str(data)]) == 1
         assert capsys.readouterr().err == (
             f"error: checkpoint train_config field 'dim' must be of type int, got {value!r}\n")
+
+
+def test_eval_refuses_a_malformed_checkpoint_naming_the_file_and_key(trained_six, tmp_path,
+                                                                     capsys):
+    data, ckpt = trained_six
+    with np.load(ckpt) as npz:
+        arrays = {k: npz[k] for k in npz.files}
+    manifest = manifest_of(ckpt)
+    no_manifest = {k: v for k, v in arrays.items() if k != "manifest"}
+    no_digest = arrays | {"manifest": np.array(json.dumps(
+        {k: v for k, v in manifest.items() if k != "vocab_digest"}))}
+    listed_config = arrays | {"manifest": np.array(json.dumps(
+        manifest | {"train_config": list(manifest["train_config"].items())}))}
+    for name, contents, key in (("no_manifest", no_manifest, "'manifest'"),
+                                ("no_digest", no_digest, "'vocab_digest'"),
+                                ("listed_config", listed_config, "'train_config' object")):
+        edited = tmp_path / f"{name}.npz"
+        with open(edited, "wb") as fh:
+            np.savez(fh, **contents)
+        assert main(["eval", str(edited), str(data)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed checkpoint {edited}: "), err
+        assert key in err
+
+
+def test_eval_refuses_adam_moments_that_do_not_match_the_parameters(trained_six, tmp_path,
+                                                                    capsys):
+    data, ckpt = trained_six
+    with np.load(ckpt) as npz:
+        arrays = {k: npz[k] for k in npz.files}
+    misshaped = arrays | {"adam_m/entity_embedding": arrays["adam_m/entity_embedding"][1:]}
+    missing = {k: v for k, v in arrays.items() if k != "adam_v/relation_embedding"}
+    for contents, message in ((misshaped, "shape mismatch for adam_m/entity_embedding"),
+                              (missing, "missing=['adam_v/relation_embedding']")):
+        edited = tmp_path / "edited.npz"
+        with open(edited, "wb") as fh:
+            np.savez(fh, **contents)
+        assert main(["eval", str(edited), str(data)]) == 1
+        assert message in capsys.readouterr().err
 
 
 def test_selfcheck_passes_clean(capsys):

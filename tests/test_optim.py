@@ -113,6 +113,44 @@ def test_adam_state_dict_round_trip():
     np.testing.assert_array_equal(other.v["w"], opt.v["w"])
 
 
+def test_adam_makes_zero_moments_for_every_parameter_in_its_first_step():
+    store = ParameterStore()
+    store.add("a", np.arange(4.0))
+    store.add("b", np.ones((2, 3)))
+    opt = Adam(store)
+    fresh = opt.state_dict()
+    assert fresh == {"t": 0, "m": {}, "v": {}}
+    Adam(store).load_state_dict(fresh)
+    store["a"].grad = np.ones(4)  # "b" has no gradient: its moments stay zero
+    opt.step()
+    for moments in (opt.m, opt.v):
+        assert list(moments) == ["a", "b"]
+        assert np.all(moments["a"] > 0.0)
+        np.testing.assert_array_equal(moments["b"], np.zeros((2, 3)))
+
+
+def test_adam_load_state_dict_refuses_moments_that_do_not_match_the_parameters():
+    store = ParameterStore()
+    store.add("a", np.arange(4.0))
+    store.add("b", np.ones((2, 2)))
+    trained = Adam(store)
+    trained.step()
+    good = trained.state_dict()
+    cases = (
+        ("m", {"a": np.zeros(4)}, r"missing=\['adam_m/b'\]"),
+        ("v", good["v"] | {"c": np.zeros(1)}, r"extra=\['adam_v/c'\]"),
+        ("m", good["m"] | {"b": np.zeros((2, 3))}, r"shape mismatch for adam_m/b"),
+        ("v", {}, r"missing=\['adam_v/a', 'adam_v/b'\]"),
+    )
+    opt = Adam(store)
+    for key, moments, message in cases:
+        with pytest.raises(ValueError, match=message):
+            opt.load_state_dict(good | {key: moments})
+        assert opt.state_dict() == {"t": 0, "m": {}, "v": {}}
+    with pytest.raises(ValueError, match=r"missing=\['adam_m/b'\]"):
+        opt.load_state_dict({"t": 0, "m": {"a": np.zeros(4)}, "v": {}})
+
+
 def quadratic_loss(store):
     # 0.5 * sum(w^2) + sum(w * b) with analytic gradient w + b
     return ad.sum_all(store["w"] * store["w"]) * 0.5 + ad.sum_all(store["w"] * store["b"])

@@ -3,6 +3,8 @@
 Each test sets the worker count itself (the `use_workers` fixture in
 conftest.py), so a one-core machine still splits.
 """
+import importlib
+import os
 import sys
 import threading
 import time
@@ -413,3 +415,13 @@ def test_evaluate_split_ranks_are_bitwise_the_same_on_two_workers_and_one(
     whole = evaluate_split(head, h, z, triples, index, num_raw, keep_ranks=True)
     np.testing.assert_array_equal(split.ranks, whole.ranks)
     assert split.as_dict() == whole.as_dict()
+
+
+def test_workers_fall_back_to_the_cpu_count_without_sched_getaffinity(monkeypatch):
+    try:
+        with monkeypatch.context() as patch:
+            patch.delattr(os, "sched_getaffinity", raising=False)
+            importlib.reload(parallel)
+            assert parallel.WORKERS == min(2, os.cpu_count() or 1)
+    finally:
+        importlib.reload(parallel)
