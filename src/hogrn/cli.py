@@ -12,8 +12,8 @@ Subcommands:
 The DATA_DIR argument may be omitted when the HOGRN_DATA environment
 variable points at a dataset directory. Training options come from defaults,
 then an optional key=value config file, then command-line flags, in that
-order. Exit codes: 0 ok, 1 user error (bad flags, missing files, bad config),
-2 internal error (numeric failure, selfcheck failure).
+order. Exit codes: 0 ok, 1 user error (bad flags, files that cannot be read
+or written, bad config), 2 internal error (numeric failure, selfcheck failure).
 """
 from __future__ import annotations
 
@@ -110,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="key=value option file")
     p.add_argument("--out", default=".", help="output directory for checkpoint.npz and train_log.txt")
     p.add_argument("--quiet", action="store_true", help="suppress per-epoch lines on stdout")
-    # one flag per training option; TrainConfig.validate checks the values
+    # one flag per training option; TrainConfig checks the values
     hints = get_type_hints(TrainConfig)
     for option in fields(TrainConfig):
         if option.name == "seed":
@@ -179,7 +179,9 @@ def _cmd_train(args) -> int:
         if value is not None:
             options[option.name] = value
     config = TrainConfig(**options)
-    config.validate()
+    # a bad --out is found before the data is loaded and the run is trained
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     store, vocab = _load_with_coverage_warning(args.data_dir)
     graph = extend_triples(store, vocab)
     model = config.build_model(graph)
@@ -187,8 +189,6 @@ def _cmd_train(args) -> int:
     result, optimizer = fit(model, store, vocab, config, log_fn=log_fn)
     print(f"best val MRR {result.best_val_mrr:.4f} at epoch {result.best_epoch} "
           f"({result.epochs_run} epochs run)")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     log_path = out_dir / "train_log.txt"
     log_path.write_text("".join(entry.line() + "\n" for entry in result.history),
                         encoding="utf-8")
@@ -325,7 +325,7 @@ def main(argv=None) -> int:
         return 0 if not exc.code else 1
     try:
         return _COMMANDS[args.command](args)
-    except (UsageError, FileNotFoundError, ValueError) as err:
+    except (UsageError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except FloatingPointError as err:

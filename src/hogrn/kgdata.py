@@ -93,24 +93,40 @@ def load_split(path, vocab: Vocabulary) -> np.ndarray:
     """Parse one triple file into an (n, 3) id array, extending `vocab` in place.
 
     Raises ValueError with the offending line number when a line does not have
-    exactly three tab-separated fields. An empty file yields an empty array.
+    exactly three tab-separated fields or is not UTF-8. An empty file yields an
+    empty array.
     """
     path = Path(path)
     rows = []
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}")
-            head, rel, tail = fields
-            rows.append((vocab.add_entity(head), vocab.add_relation(rel), vocab.add_entity(tail)))
+    try:
+        with path.open(encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n").rstrip("\r")
+                if not line.strip():
+                    continue
+                fields = line.split("\t")
+                if len(fields) != 3:
+                    raise ValueError(
+                        f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}")
+                head, rel, tail = fields
+                rows.append((vocab.add_entity(head), vocab.add_relation(rel),
+                             vocab.add_entity(tail)))
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}:{_first_line_not_utf8(path)}: not UTF-8 ({err.reason})") from None
     if not rows:
         return np.empty((0, 3), dtype=np.int64)
     return np.asarray(rows, dtype=np.int64)
+
+
+def _first_line_not_utf8(path: Path) -> int | None:
+    """The number of the first line of `path`, counted as `load_split` counts
+    them, that holds a byte sequence UTF-8 cannot decode."""
+    # undecodable bytes come back as lone surrogates, which no line of UTF-8 holds
+    with path.open(encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if any("\udc80" <= char <= "\udcff" for char in line):
+                return lineno
+    return None
 
 
 @dataclass

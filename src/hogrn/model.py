@@ -27,12 +27,11 @@ if TYPE_CHECKING:
 class HoGRN:
     """Sparse-KG embedding model with weight-free GCN and relation mixing.
 
-    `config` is validated here and kept as `self.config`, the one record of
-    the model's settings; `self.head` mirrors `config.head`.
+    `config` is kept as `self.config`, the one record of the model's
+    settings; `self.head` mirrors `config.head`.
     """
 
     def __init__(self, graph: ExtendedGraph, config: TrainConfig):
-        config.validate()
         self.config = config
         self.graph = graph
         self.head = config.head

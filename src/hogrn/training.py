@@ -11,10 +11,12 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import get_type_hints
+from zipfile import BadZipFile
 
 import numpy as np
+from numpy.lib.npyio import NpzFile
 
 from scipy.special import expit, log_expit
 
@@ -49,7 +51,13 @@ class TrainConfig:
     valid_every: int = 1
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
+        # each field exactly its annotated type: a bool is not an int, a numpy scalar is
+        # refused, and a float field also takes an int
+        for name, typ in get_type_hints(TrainConfig).items():
+            value = getattr(self, name)
+            if type(value) not in ((int, float) if typ is float else (typ,)):
+                raise ValueError(f"field {name!r} must be of type {typ.__name__}, got {value!r}")
         # every range check is written so that NaN fails it; the float ones also refuse inf
         if self.dim < 1:
             raise ValueError(f"dim must be positive, got {self.dim}")
@@ -75,9 +83,6 @@ class TrainConfig:
             raise ValueError(f"direction must be one of {DIRECTIONS}, got {self.direction!r}")
         if self.valid_every < 1:
             raise ValueError(f"valid_every must be positive, got {self.valid_every}")
-
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def build_model(self, graph: ExtendedGraph) -> HoGRN:
         return HoGRN(graph, self)
@@ -363,7 +368,7 @@ def save_checkpoint(path, model: HoGRN, optimizer: Adam, vocab: Vocabulary,
     moments = optimizer.state_dict()
     manifest = {
         "version": CHECKPOINT_VERSION,
-        "train_config": model.config.as_dict(),
+        "train_config": asdict(model.config),
         "optimizer": {"t": moments["t"]},
         "vocab_digest": vocab.digest(),
         "extra": extra or {},
@@ -379,15 +384,25 @@ def save_checkpoint(path, model: HoGRN, optimizer: Adam, vocab: Vocabulary,
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a checkpoint back as (manifest, arrays keyed like 'param/<name>').
 
-    Raises ValueError naming the file and the key if the archive has no
-    `manifest`, or if the manifest is not an object holding `version`,
-    `train_config` (an object), `optimizer.t` and `vocab_digest`.
+    Raises ValueError naming the file if it is not an .npz archive of plain
+    arrays, and naming the key too if the archive has no `manifest`, or if the
+    manifest is not a JSON object holding `version`, `train_config` (an
+    object), `optimizer.t` and `vocab_digest`.
     """
-    with np.load(path) as npz:
-        if "manifest" not in npz.files:
-            raise ValueError(f"malformed checkpoint {path}: no 'manifest' in the archive")
-        arrays = {k: npz[k].copy() for k in npz.files if k != "manifest"}
-        manifest = json.loads(str(npz["manifest"][()]))
+    try:
+        npz = np.load(path)  # never with allow_pickle: a checkpoint holds plain arrays
+        if not isinstance(npz, NpzFile):  # a lone .npy array
+            raise ValueError
+        with npz:
+            arrays = {k: npz[k].copy() for k in npz.files}
+    except (EOFError, ValueError, BadZipFile):
+        raise ValueError(f"malformed checkpoint {path}: not an .npz archive of arrays") from None
+    if "manifest" not in arrays:
+        raise ValueError(f"malformed checkpoint {path}: no 'manifest' in the archive")
+    try:
+        manifest = json.loads(str(arrays.pop("manifest")[()]))
+    except json.JSONDecodeError as err:
+        raise ValueError(f"malformed checkpoint {path}: 'manifest' is not JSON ({err})") from None
     if not isinstance(manifest, dict):
         raise ValueError(f"malformed checkpoint {path}: 'manifest' is not an object")
     config, optimizer = manifest.get("train_config"), manifest.get("optimizer")
@@ -408,7 +423,7 @@ def restore_model(path, store: TripleStore, vocab: Vocabulary) -> tuple[HoGRN, A
     Raises ValueError if the dataset's vocabulary does not match the digest
     recorded at save time (ids would silently disagree otherwise), or if
     `train_config` does not name exactly the fields of `TrainConfig` with
-    values of their types (no bool for an int; an int is fine for a float).
+    values that `TrainConfig` accepts.
     """
     manifest, arrays = load_checkpoint(path)
     if manifest["vocab_digest"] != vocab.digest():
@@ -419,16 +434,14 @@ def restore_model(path, store: TripleStore, vocab: Vocabulary) -> tuple[HoGRN, A
     if missing or unknown:
         raise ValueError(f"checkpoint train_config does not match TrainConfig: "
                          f"missing {missing}, unknown {unknown}")
-    for name, typ in get_type_hints(TrainConfig).items():
-        value = settings[name]
-        if type(value) not in ((int, float) if typ is float else (typ,)):  # bool is not an int here
-            raise ValueError(f"checkpoint train_config field {name!r} must be of type "
-                             f"{typ.__name__}, got {value!r}")
+    try:
+        config = TrainConfig(**settings)
+    except ValueError as err:
+        raise ValueError(f"checkpoint train_config {err}") from None
 
     def stored(prefix: str) -> dict[str, np.ndarray]:
         return {k[len(prefix) + 1:]: v for k, v in arrays.items() if k.startswith(prefix + "/")}
 
-    config = TrainConfig(**settings)
     model = config.build_model(extend_triples(store, vocab))
     model.params.load_state_dict(stored("param"))
     optimizer = Adam(model.params, lr=config.lr)

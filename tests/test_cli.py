@@ -59,6 +59,13 @@ def test_stats_env_fallback(six_dir, capsys, monkeypatch):
     assert "entities" in capsys.readouterr().out
 
 
+def test_stats_names_the_file_and_line_of_a_byte_that_is_not_utf8(six_dir, capsys):
+    train = six_dir / "train.txt"
+    train.write_bytes(b"a\tr1\tb\nb\tr\xff\tc\n")
+    assert main(["stats", str(six_dir)]) == 1
+    assert capsys.readouterr().err == f"error: {train}:2: not UTF-8 (invalid start byte)\n"
+
+
 def test_positional_dir_beats_env(six_dir, capsys, monkeypatch):
     monkeypatch.setenv("HOGRN_DATA", "/nonexistent/place")
     assert main(["stats", str(six_dir)]) == 0
@@ -133,6 +140,28 @@ def test_train_refuses_non_finite_options(six_dir, tmp_path, capsys, flag, value
     assert main(["train", str(six_dir), *FAST_TRAIN, flag, value, "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+def test_train_creates_out_before_it_trains(six_dir, tmp_path, capsys, monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit ran before --out was created")
+
+    monkeypatch.setattr("hogrn.cli.fit", no_fit)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["train", str(six_dir), *FAST_TRAIN, "--out", str(taken)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_os_errors_are_user_errors(six_dir, tmp_path, capsys):
+    # a directory where the checkpoint should be, and an existing file named as --out
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for argv in (["eval", str(tmp_path), str(six_dir)],
+                 ["train", str(six_dir), *FAST_TRAIN, "--out", str(taken)],
+                 ["sparsify", str(six_dir), "--keep", "0.5", "--seed", "3", "--out", str(taken)]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: "), argv
 
 
 def test_config_file_errors(six_dir, tmp_path, capsys):

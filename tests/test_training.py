@@ -1,7 +1,8 @@
 import json
 import math
+import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -307,14 +308,13 @@ def test_zeroed_mixers_reproduce_the_ablation(six_graph):
 
 
 def test_train_config_validation():
-    TrainConfig().validate()
+    TrainConfig()
     for field, bad in (("dim", 0), ("num_layers", 0), ("head", "complex"), ("lr", 0.0),
                        ("batch_size", 0), ("max_epochs", 0), ("patience", 0),
                        ("mask_ratio", 1.0), ("lambda_rel", -0.5), ("temperature", 0.0),
                        ("direction", "head"), ("valid_every", 0)):
-        cfg = TrainConfig(**{field: bad})
         with pytest.raises(ValueError):
-            cfg.validate()
+            TrainConfig(**{field: bad})
 
 
 @pytest.mark.parametrize("field, bad, message", [
@@ -328,7 +328,29 @@ def test_train_config_validation():
 ])
 def test_train_config_refuses_non_finite_values(field, bad, message):
     with pytest.raises(ValueError, match=message):
-        TrainConfig(**{field: bad}).validate()
+        TrainConfig(**{field: bad})
+
+
+@pytest.mark.parametrize("field, bad, kind", [
+    ("patience", 2.0, "int"), ("use_reasoning", 0, "bool"),
+    ("num_layers", np.int64(2), "int"), ("dim", True, "int"),
+])
+def test_train_config_refuses_a_value_of_the_wrong_type(field, bad, kind):
+    # each would otherwise train, and then write a checkpoint that cannot be restored or saved
+    with pytest.raises(ValueError, match=re.escape(f"field '{field}' must be of type {kind}, "
+                                                   f"got {bad!r}")):
+        TrainConfig(**{field: bad})
+
+
+def test_train_config_with_ints_in_float_fields_trains_and_round_trips(tmp_path):
+    store, vocab = five_entity_dataset()
+    cfg = TrainConfig(dim=4, lr=1, max_epochs=1, mask_ratio=0, seed=0)
+    model = cfg.build_model(extend_triples(store, vocab))
+    result, optimizer = fit(model, store, vocab, cfg)
+    assert result.epochs_run == 1
+    save_checkpoint(tmp_path / "ckpt.npz", model, optimizer, vocab)
+    restored, _, _ = restore_model(tmp_path / "ckpt.npz", store, vocab)
+    assert restored.config == cfg
 
 
 def test_fit_loss_trend_on_five_entity_graph():
@@ -448,7 +470,7 @@ def test_checkpoint_round_trip_reproduces_evaluation(tmp_path):
 
     restored, opt2, manifest = restore_model(path, store, vocab)
     assert manifest["extra"]["note"] == 1
-    assert manifest["train_config"] == cfg.as_dict()
+    assert manifest["train_config"] == asdict(cfg)
     assert opt2.lr == optimizer.lr
     assert opt2.t == optimizer.t
     assert sorted(opt2.m) == sorted(opt2.v) == sorted(optimizer.m) == sorted(model.params.names())
@@ -489,7 +511,7 @@ def test_save_checkpoint_refuses_a_config_that_does_not_describe_the_run(tmp_pat
     assert not (tmp_path / "ckpt.npz").exists()
     save_checkpoint(tmp_path / "ckpt.npz", model, optimizer, vocab)
     manifest, _ = load_checkpoint(tmp_path / "ckpt.npz")
-    assert manifest["train_config"] == cfg.as_dict()
+    assert manifest["train_config"] == asdict(cfg)
 
 
 def test_checkpoint_rejects_wrong_dataset(tmp_path):
@@ -526,6 +548,23 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
             load_checkpoint(path)
         with pytest.raises(ValueError, match="unsupported checkpoint version"):
             restore_model(path, store, vocab)
+
+
+def test_load_checkpoint_refuses_a_file_that_is_not_a_checkpoint_archive(tmp_path):
+    files = {"empty": b"", "corrupt_zip": b"PK\x03\x04" + bytes(40),
+             "random": bytes(range(7, 200))}
+    for name, contents in files.items():
+        (tmp_path / f"{name}.npz").write_bytes(contents)
+    with open(tmp_path / "npy.npz", "wb") as fh:
+        np.save(fh, np.arange(3.0))
+    with open(tmp_path / "not_json.npz", "wb") as fh:
+        np.savez(fh, manifest=np.array("{version: 2}"))
+    for name, message in (("empty", "not an .npz archive"), ("corrupt_zip", "not an .npz archive"),
+                          ("npy", "not an .npz archive"), ("random", "not an .npz archive"),
+                          ("not_json", "'manifest' is not JSON")):
+        path = tmp_path / f"{name}.npz"
+        with pytest.raises(ValueError, match=re.escape(f"malformed checkpoint {path}: {message}")):
+            load_checkpoint(path)
 
 
 def test_restore_refuses_a_train_config_with_missing_or_unknown_keys(tmp_path):
