@@ -29,8 +29,8 @@ import numpy as np
 
 from .evaluation import DIRECTIONS, build_filter_index, evaluate_split, filtered_rank, oracle_rank
 from .explain import explain, to_dot, to_records
-from .kgdata import (degree_report, export_dataset, extend_triples, load_dataset, sparsify_subset,
-                     unseen_in_train_warning)
+from .kgdata import (_first_line_not_utf8, degree_report, export_dataset, extend_triples,
+                     load_dataset, sparsify_subset, unseen_in_train_warning)
 from .optim import finite_difference_check
 from .scoring import score_all_tails
 from .seeding import substream
@@ -74,20 +74,23 @@ def parse_config_file(path) -> dict:
     path = Path(path)
     if not path.is_file():
         raise UsageError(f"config file not found: {path}")
-    with path.open(encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if not sep or not key or not value:
-                raise UsageError(f"{path}:{lineno}: expected key=value, got {raw.rstrip()!r}")
-            if key == "seed":
-                raise UsageError(f"{path}:{lineno}: seed must be given with --seed")
-            if key not in hints:
-                raise UsageError(f"{path}:{lineno}: unknown option {key!r}")
-            options[key] = _coerce(key, value, hints[key])
+    try:
+        with path.open(encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                key, sep, value = line.partition("=")
+                key, value = key.strip(), value.strip()
+                if not sep or not key or not value:
+                    raise UsageError(f"{path}:{lineno}: expected key=value, got {raw.rstrip()!r}")
+                if key == "seed":
+                    raise UsageError(f"{path}:{lineno}: seed must be given with --seed")
+                if key not in hints:
+                    raise UsageError(f"{path}:{lineno}: unknown option {key!r}")
+                options[key] = _coerce(key, value, hints[key])
+    except UnicodeDecodeError as err:
+        raise UsageError(f"{path}:{_first_line_not_utf8(path)}: not UTF-8 ({err.reason})") from None
     return options
 
 

@@ -9,19 +9,23 @@ edge list in blocks of EDGE_BLOCK edges: a block gathers its source, relation
 and target rows and forms its messages, products and row sums, which are all
 per edge. The forward writes only the attention and the weighted messages;
 the tape keeps the attention and rebuilds the rest in the backward, so no
-(E x d) array lives between the passes. Each pass cuts its blocks into two
-runs of whole blocks, one per worker thread (`parallel`); a block writes only
-its own rows, so every value is bitwise that of one thread. Every scatter
-runs once over the whole operand through the graph's CSR incidence matrices,
-whose unit-weight row sums add edges in edge order, exactly as an
-`np.add.at` over the edge list would. The scatters stay on one thread: they
-stream the whole operand from memory and ran no faster as two row ranges.
+(E x d) array lives between the passes on the tape. The message block and
+the backward's two operands are regions of the lent workspace (`workspace`),
+live only inside their pass; in a training step that is the parameters'
+workspace, so their memory stays mapped between steps. Each pass cuts its
+blocks into two runs of whole blocks, one per worker thread (`parallel`); a
+block writes only its own rows, so every value is bitwise that of one
+thread. Every scatter runs once over the whole operand through the graph's
+CSR incidence matrices, whose unit-weight row sums add edges in edge order,
+exactly as an `np.add.at` over the edge list would. The scatters stay on one
+thread: they stream the whole operand from memory and ran no faster as two
+row ranges.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from . import parallel
+from . import parallel, workspace
 from .autodiff import Tensor, _checked
 from .kgdata import ExtendedGraph
 
@@ -61,7 +65,8 @@ def aggregate(h: Tensor, z: Tensor, graph: ExtendedGraph) -> tuple[Tensor, np.nd
     num_edges, dim = graph.num_edges, h_d.shape[1]
     norm = graph.norm_coeff[:, None]
     a = np.empty((num_edges, 1))
-    msg = np.empty((num_edges, dim))
+    work = workspace.lent()
+    msg, = work.take((num_edges, dim))
 
     def forward_block(blk, src, rel, tgt):
         zr = z_d[rel]
@@ -78,8 +83,8 @@ def aggregate(h: Tensor, z: Tensor, graph: ExtendedGraph) -> tuple[Tensor, np.nd
     # the backward re-gathers each block's rows from H and Z, which no step
     # between the passes writes; in-place steps are on its own arrays only
     def backward(g):
-        d_h = np.empty((2 * num_edges, dim))  # source rows, then target rows
-        d_z = np.empty((num_edges, dim))
+        # source rows, then target rows
+        d_h, d_z = work.take((2 * num_edges, dim), (num_edges, dim))
 
         def backward_block(blk, src, rel, tgt):
             hs, zr, ht = h_d[src], z_d[rel], h_d[tgt]

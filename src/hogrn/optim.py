@@ -7,6 +7,7 @@ import numpy as np
 
 from . import parallel
 from .autodiff import Tensor
+from .workspace import Workspace
 
 
 def xavier_init(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
@@ -37,11 +38,14 @@ class ParameterStore:
     """Named leaf tensors with their gradient accumulators.
 
     Iteration order is insertion order, which keeps optimizer traversal and
-    checkpoint layout deterministic.
+    checkpoint layout deterministic. `workspace` is the training step's
+    scratch memory (`hogrn.workspace`), shared by `batch_loss`, its backward
+    and `Adam`; it stays empty until the first training step.
     """
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
+        self.workspace = Workspace()
 
     def add(self, name: str, value: np.ndarray) -> Tensor:
         if name in self._params:
@@ -112,8 +116,9 @@ class Adam:
     Each parameter's update is element-wise, so it runs in row halves, one per
     worker thread (`parallel`; a parameter below parallel.INLINE_CELLS cells
     runs whole), in place and in the same operation order as one thread:
-    every value is bitwise the same. Its two scratch arrays are
-    allocated on the calling thread, so the pool thread allocates nothing.
+    every value is bitwise the same. Its two scratch arrays are regions of
+    the store's workspace, taken anew for each parameter, so a step
+    allocates no scratch memory and the pool thread allocates nothing.
     """
 
     def __init__(self, store: ParameterStore, lr: float = 1e-3):
@@ -150,7 +155,7 @@ class Adam:
                 self.m[name] = np.zeros_like(p.data)
                 self.v[name] = np.zeros_like(p.data)
             m, v, data = self.m[name], self.v[name], p.data
-            step_buf, denom_buf = np.empty_like(data), np.empty_like(data)
+            step_buf, denom_buf = self.store.workspace.take(data.shape, data.shape)
 
             def part(lo, hi):
                 m_rows, v_rows, g_rows = m[lo:hi], v[lo:hi], g[lo:hi]

@@ -73,10 +73,10 @@ def score_adjoints(head: str, g: np.ndarray, h: np.ndarray, z: np.ndarray,
         d_src = d_rel = d_query
     # source rows first, then the tail side: DistMult's bitwise parity with the
     # gather/matmul tape in tests/test_fused_parity.py rests on this order
-    grad_h = np.zeros_like(h)
+    grad_h = np.zeros(h.shape)
     np.add.at(grad_h, src_ids, d_src)
     grad_h += d_tail
-    grad_z = np.zeros_like(z)
+    grad_z = np.zeros(z.shape)
     np.add.at(grad_z, rel_ids, d_rel)
     return grad_h, grad_z
 
@@ -99,8 +99,8 @@ def _l1_adjoints(g: np.ndarray, query: np.ndarray, h: np.ndarray):
     h_cols = np.ascontiguousarray(h.T)
     above_q = np.zeros((num_queries, dim))  # sum_j g[i, j] [query[i, k] > h[j, k]]
     above_t = np.empty((num_entities, dim))  # sum_i of the same cells
-    tie_q = np.zeros_like(above_q)
-    tie_t = np.zeros_like(above_t)
+    tie_q = np.zeros(above_q.shape)
+    tie_t = np.zeros(above_t.shape)
     ones_q, ones_w = np.ones(num_queries), np.ones(ENTITY_BLOCK)
 
     def part(k_lo, k_hi):

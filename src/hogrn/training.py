@@ -21,7 +21,7 @@ from numpy.lib.npyio import NpzFile
 from scipy.special import expit, log_expit
 
 from . import autodiff as ad
-from . import parallel
+from . import parallel, workspace
 from .autodiff import Tensor, _checked
 from .evaluation import DIRECTIONS, build_filter_index, evaluate_split
 from .kgdata import ExtendedGraph, TripleStore, Vocabulary, extend_triples, group_answers
@@ -126,7 +126,7 @@ def bce_loss(scores: Tensor, targets: np.ndarray) -> Tensor:
     """
     positive = _positive_cells(scores.shape, targets)
     s = scores.data
-    cells = _bce_cells(s, positive)
+    cells = _bce_cells(s, positive, np.empty_like(s))
     loss = _checked(-cells.mean(), "bce_loss")
     spent = [cells]  # handed to the first backward call only; a repeat allocates
 
@@ -142,31 +142,33 @@ def one_vs_all_loss(head: str, h: Tensor, z: Tensor, src_ids, rel_ids,
     """`bce_loss(batch_scores(head, h, z, src_ids, rel_ids), targets)` as one tape node.
 
     It runs the same arithmetic, so the loss and the gradients of h and z
-    are bitwise those of the two nodes. The forward keeps the score block
-    and the spent cell buffer. The first backward writes the BCE gradient
-    into that buffer, drops the scores, and hands the gradient to
-    `score_adjoints`; after it the node holds no (B, N) float array, so none
-    lives through the rest of the backward pass. A repeated backward scores
-    the block again.
+    are bitwise those of the two nodes. The score block and the cell block
+    are the head's regions of the lent workspace (`workspace`); the node
+    keeps them from its forward to its first backward, which writes the BCE
+    gradient over the cells and hands it to `score_adjoints`, then lets both
+    go. A backward that finds them gone or stale (a later take may have
+    reused them) scores the block again into fresh regions.
     """
     src_ids = np.asarray(src_ids, dtype=np.intp)
     rel_ids = np.asarray(rel_ids, dtype=np.intp)
     h_d, z_d = h.data, z.data
-    scores = _checked(score_all_tails(head, h_d, z_d, src_ids, rel_ids), "batch_scores")
+    shape = (src_ids.size, h_d.shape[0])
+    work = workspace.lent()
+    block = work.take(shape, shape)
+    taken = work.generation
+    scores, cells = block
+    _checked(score_all_tails(head, h_d, z_d, src_ids, rel_ids, out=scores), "batch_scores")
     positive = _positive_cells(scores.shape, targets)
-    cells = _bce_cells(scores, positive)
-    loss = _checked(-cells.mean(), "bce_loss")
+    loss = _checked(-_bce_cells(scores, positive, cells).mean(), "bce_loss")
     size = scores.size
-    spent = [scores, cells]
 
     def backward(g):
-        if spent:
-            grad, s = spent.pop(), spent.pop()
-        else:
-            s = score_all_tails(head, h_d, z_d, src_ids, rel_ids)
-            grad = np.empty_like(s)
+        if not block or work.stale(taken):
+            block[:] = work.take(shape, shape)
+            score_all_tails(head, h_d, z_d, src_ids, rel_ids, out=block[0])
+        s, grad = block
+        block.clear()
         _bce_grad(s, positive, g / size, grad)
-        del s  # spent: freed before the adjoint allocates
         grad_h, grad_z = score_adjoints(head, grad, h_d, z_d, src_ids, rel_ids)
         h._accumulate_owned(grad_h)
         z._accumulate_owned(grad_z)
@@ -184,9 +186,8 @@ def _positive_cells(shape: tuple, targets: np.ndarray) -> np.ndarray:
     return positive
 
 
-def _bce_cells(s: np.ndarray, positive: np.ndarray) -> np.ndarray:
-    """Each cell's cross-entropy -log sigmoid(+-s), in a new buffer, by row halves."""
-    cells = np.empty_like(s)
+def _bce_cells(s: np.ndarray, positive: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Each cell's cross-entropy -log sigmoid(+-s), written into `cells` by row halves."""
 
     def part(lo, hi):
         # +s on positive cells, -s on negative ones, without np.where's temporaries
@@ -233,9 +234,10 @@ def batch_loss(
 ) -> Tensor:
     if lambda_rel < 0.0:
         raise ValueError(f"lambda_rel must be non-negative, got {lambda_rel}")
-    h, z, _ = model.forward(training=True, mask_rng=mask_rng)
-    loss = one_vs_all_loss(model.head, h, z, queries.src[batch_idx], queries.rel[batch_idx],
-                           queries.multi_hot(batch_idx))
+    with workspace.lent_to(model.params.workspace):
+        h, z, _ = model.forward(training=True, mask_rng=mask_rng)
+        loss = one_vs_all_loss(model.head, h, z, queries.src[batch_idx], queries.rel[batch_idx],
+                               queries.multi_hot(batch_idx))
     if lambda_rel > 0.0:
         loss = loss + infonce_loss(z, temperature) * lambda_rel
     return loss

@@ -183,6 +183,13 @@ def test_config_file_errors(six_dir, tmp_path, capsys):
     assert "expected a boolean" in capsys.readouterr().err
 
 
+def test_a_config_file_that_is_not_utf8_names_its_file_and_line(six_dir, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"dim = 4\nlr = 0.\xff1\n")
+    assert main(["train", str(six_dir), "--seed", "0", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}:2: not UTF-8 (invalid start byte)\n"
+
+
 def test_parse_config_file_types(tmp_path):
     cfg = tmp_path / "opts.cfg"
     cfg.write_text("# a comment\ndim=8\nlr=0.3\nuse_reasoning=false\nhead=transe\n")

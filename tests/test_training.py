@@ -7,7 +7,9 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+from hogrn import workspace
 from hogrn.evaluation import build_filter_index, evaluate_split
+from hogrn.explain import explain
 from hogrn.kgdata import ExtendedGraph, extend_triples
 from hogrn.optim import Adam
 from hogrn.scoring import batch_scores
@@ -268,7 +270,9 @@ def test_batch_loss_with_the_relation_term_matches_the_chain_bitwise(six_graph, 
 
 def test_a_training_step_keeps_no_score_block_after_its_backward():
     # the (B x N) head block dominates here: 256 x 5,000 float64 cells are 10.24 MB,
-    # against under 2 MB for each (E x d) array of the 8-wide layers
+    # against under 2 MB for each (E x d) array of the 8-wide layers. The
+    # parameters' workspace keeps its (2 x B x N) cells by design; beside it
+    # the tape must keep no block
     rng = np.random.default_rng(18)
     num_entities, num_relations, batch = 5000, 10, 256
     drawn = np.stack([rng.integers(0, num_entities, 12_000), rng.integers(0, num_relations, 12_000),
@@ -288,7 +292,115 @@ def test_a_training_step_keeps_no_score_block_after_its_backward():
     finally:
         tracemalloc.stop()
     assert math.isfinite(loss.item())  # the loss and its tape are still referenced
-    assert kept < block_bytes, f"{kept / 1e6:.2f} MB live after the step"
+    assert model.params.workspace.cells == 2 * batch * num_entities
+    kept -= 8 * model.params.workspace.cells
+    assert kept < block_bytes, f"{kept / 1e6:.2f} MB live after the step beside the workspace"
+
+
+def _planted_steps(head, poison, steps=3):
+    """Losses, per-step gradients and the parameters after Adam of a few planted-rule steps.
+
+    `poison(workspace, when)` runs before each step ("step") and between
+    building each loss and its backward ("backward").
+    """
+    store, vocab = rule_composition_kg(num_entities=60, seed=1)
+    graph = extend_triples(store, vocab)
+    model = TrainConfig(dim=8, head=head, mask_ratio=0.3, seed=1).build_model(graph)
+    queries = build_queries(graph)
+    optimizer = Adam(model.params, lr=1e-2)
+    mask_rng = substream(1, "masking")
+    order = substream(1, "shuffling").permutation(len(queries))
+    losses, grads = [], []
+    for step in range(steps):
+        poison(model.params.workspace, "step")
+        model.params.zero_grad()
+        loss = batch_loss(model, queries, order[step * 32:(step + 1) * 32], mask_rng, 0.1, 1.0)
+        poison(model.params.workspace, "backward")
+        loss.backward()
+        losses.append(loss.item())
+        grads.append(model.params.gradients())
+        optimizer.step()
+    return losses, grads, model.params.state_dict()
+
+
+@pytest.mark.parametrize("at", ["step", "backward"])
+@pytest.mark.parametrize("head", ["distmult", "transe"])
+def test_every_workspace_region_is_written_before_it_is_read(head, at):
+    # NaN over the whole workspace before each step, or between a loss and its
+    # backward, where the head must rescore rather than read a stale block
+    def poison(workspace, when):
+        if when == at:
+            workspace.take((workspace.cells,))[0].fill(np.nan)
+
+    plain = _planted_steps(head, lambda workspace, when: None)
+    poisoned = _planted_steps(head, poison)
+    assert poisoned[0] == plain[0]
+    for got, want in zip(poisoned[1] + [poisoned[2]], plain[1] + [plain[2]]):
+        assert got.keys() == want.keys()
+        for name in want:
+            np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+
+
+@pytest.mark.parametrize("head", ["distmult", "transe"])
+def test_losses_built_before_either_backward_get_the_gradients_of_each_alone(head):
+    # the second forward reuses the first head's workspace regions; its
+    # backward must score its block again
+    store, vocab = rule_composition_kg(num_entities=60, seed=2)
+    graph = extend_triples(store, vocab)
+    model = TrainConfig(dim=8, head=head, mask_ratio=0.3, seed=2).build_model(graph)
+    queries = build_queries(graph)
+    batches = [np.arange(0, 32), np.arange(40, 90)]
+
+    def build(k):
+        return batch_loss(model, queries, batches[k], substream(k, "masking"), 0.1, 1.0)
+
+    def grads_of(loss):
+        model.params.zero_grad()
+        loss.backward()
+        return model.params.gradients()
+
+    alone = [grads_of(build(k)) for k in (0, 1)]
+    losses = [build(0), build(1)]
+    for loss, want in zip(losses, alone):
+        got = grads_of(loss)
+        for name in want:
+            np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+
+
+def test_inference_keeps_no_workspace():
+    store, vocab = rule_composition_kg(num_entities=60, seed=0)
+    graph = extend_triples(store, vocab)
+    model = TrainConfig(dim=64, seed=0).build_model(graph)
+    filter_index = build_filter_index(store, vocab)
+    message_bytes = graph.num_edges * 64 * 8
+    tracemalloc.start()
+    try:
+        h, z, attentions = model.eval_states()
+        evaluate_split(model.head, h, z, store.valid, filter_index, vocab.num_relations, "both")
+        explain(graph, attentions, int(store.valid[0, 0]), int(store.valid[0, 2]))
+        del h, z, attentions
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert model.params.workspace.cells == 0
+    assert workspace.TRANSIENT.cells == 0
+    assert kept < message_bytes, f"{kept} bytes kept by inference"
+
+
+@pytest.mark.parametrize("dim", [2, 8, 40])
+def test_the_workspace_is_sized_to_its_largest_phase(six_graph, dim):
+    # 2 B N cells win at dim 2, 3 E d at dim 8 and twice the (d x 2d) mixer at dim 40
+    queries = build_queries(six_graph)
+    model = TrainConfig(dim=dim, mask_ratio=0.0, seed=0).build_model(six_graph)
+    batch = np.arange(len(queries))
+    loss = batch_loss(model, queries, batch, None, 0.1, 1.0)
+    loss.backward()
+    Adam(model.params).step()
+    largest = max(p.data.size for _, p in model.params.items())
+    phases = {"aggregation": 3 * six_graph.num_edges * dim,
+              "head": 2 * batch.size * six_graph.num_entities, "adam": 2 * largest}
+    assert model.params.workspace.cells == max(phases.values())
+    assert max(phases, key=phases.get) == {2: "head", 8: "aggregation", 40: "adam"}[dim]
 
 
 def test_zeroed_mixers_reproduce_the_ablation(six_graph):
