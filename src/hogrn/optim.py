@@ -125,11 +125,12 @@ class Adam:
         self.store = store
         self.lr = lr
         self.t = 0
-        # The first step makes the moments, after its backward, so they take
-        # heap memory the backward has freed. Made here instead, with the same
-        # live arrays, they raised perfbench's train-transe-wdsinger peak RSS
-        # from 282 to 313 MB (glibc malloc, 2-core Xeon VM): the freed memory
-        # stayed resident beside them.
+        # The first step makes the moments. Made here instead, they no longer
+        # raise peak RSS now that the step's scratch is in the workspace
+        # (perfbench train-transe-wdsinger 279.4-280.0 against 281.6-283.1 MB),
+        # but their zeroing lands in every set-up: train-distmult-nell23k
+        # setup_s went from 0.10-0.13 to 0.15-0.18 s (2-core Xeon VM, three
+        # runs each).
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
 

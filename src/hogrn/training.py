@@ -163,7 +163,7 @@ def one_vs_all_loss(head: str, h: Tensor, z: Tensor, src_ids, rel_ids,
     size = scores.size
 
     def backward(g):
-        if not block or work.stale(taken):
+        if not block or work.generation != taken:
             block[:] = work.take(shape, shape)
             score_all_tails(head, h_d, z_d, src_ids, rel_ids, out=block[0])
         s, grad = block

@@ -15,11 +15,11 @@ start of the buffer, and no two phases are live at once:
 
 So the buffer grows to max(3 E d, 2 B N, 2 x the largest parameter) cells in
 the first step and keeps that size. On the tape the head's backward runs
-before either layer's aggregation backward, whose output it consumes, and
-Adam runs after the whole backward. Only the head keeps its regions past a
-call. A later take may reuse them (a second forward built before the first
-backward, or a repeated backward), so every take advances `generation`, and
-the head rescores when that moved (`stale`).
+before either layer's aggregation backward, which needs the gradient it
+makes, and Adam runs after the whole backward. Only the head keeps its
+regions past a call. A later take may reuse them (a second forward built
+before the first backward, or a repeated backward), so every take advances
+`generation`, and the head scores its block again when that moved.
 
 No view of the buffer leaves its phase: gradients handed to the tape and
 arrays kept on a `Tensor` are fresh arrays.
@@ -65,10 +65,6 @@ class Workspace:
             start += size
         return views
 
-    def stale(self, generation: int) -> bool:
-        """Whether a take after the one that `generation` recorded may have reused its regions."""
-        return generation != self.generation
-
     def _buffer(self, cells: int) -> np.ndarray:
         if cells > self._buf.size:
             # dropped first, so the old and the new buffer are never both
@@ -83,9 +79,6 @@ class _Transient(Workspace):
 
     def _buffer(self, cells: int) -> np.ndarray:
         return np.empty(cells)
-
-    def stale(self, generation: int) -> bool:
-        return False  # no two takes share memory
 
 
 TRANSIENT = _Transient()
@@ -103,6 +96,6 @@ def lent_to(workspace: Workspace):
     """Lend `workspace` to every layer called inside the block."""
     token = _lent.set(workspace)
     try:
-        yield workspace
+        yield
     finally:
         _lent.reset(token)
