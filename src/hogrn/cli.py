@@ -7,7 +7,7 @@ Subcommands:
 * train: fit a model; writes checkpoint.npz and train_log.txt to --out
 * eval: filtered ranking metrics for a checkpoint on valid or test
 * explain: attention-weighted paths behind one (source, target) pair
-* selfcheck: finite-difference gradient suite plus rank-oracle equivalence
+* selfcheck: finite-difference gradient check of both heads plus rank-oracle equivalence
 
 The DATA_DIR argument may be omitted when the HOGRN_DATA environment
 variable points at a dataset directory. Training options come from defaults,
@@ -282,12 +282,10 @@ def _rank_oracle_suite(seed: int, instances: int = 200) -> int:
     return mismatches
 
 
-def _cmd_selfcheck(args) -> int:
-    store, vocab = rule_composition_kg(num_entities=24, seed=args.seed)
-    graph = extend_triples(store, vocab)
-    model = TrainConfig(dim=5, num_layers=2, head="distmult", mask_ratio=0.0,
+def _gradient_check(head: str, graph, queries, args) -> bool:
+    """The finite-difference check of a small `head` model; prints one summary line."""
+    model = TrainConfig(dim=5, num_layers=2, head=head, mask_ratio=0.0,
                         seed=args.seed).build_model(graph)
-    queries = build_queries(graph)
     batch = np.arange(min(8, len(queries)))
 
     def loss_fn(_store):
@@ -296,17 +294,25 @@ def _cmd_selfcheck(args) -> int:
     rng = np.random.default_rng(args.seed)
     report = finite_difference_check(loss_fn, model.params, max_coords_per_param=args.coords,
                                      rng=rng, fault_scale=args.fault_scale)
-    print(report.summary())
+    print(f"{head}: {report.summary()}")
     for failure in report.failures[:10]:
         print(f"  {failure.param}{list(failure.index)}: analytic {failure.analytic:.3e} "
               f"vs numeric {failure.numeric:.3e} (rel err {failure.rel_err:.2e})")
+    return report.passed
+
+
+def _cmd_selfcheck(args) -> int:
+    store, vocab = rule_composition_kg(num_entities=24, seed=args.seed)
+    graph = extend_triples(store, vocab)
+    queries = build_queries(graph)
+    passed = [_gradient_check(head, graph, queries, args) for head in ("distmult", "transe")]
     if args.fault_scale:
         print("fault injection active: a failure above confirms the checker catches bad gradients")
 
     mismatches = _rank_oracle_suite(args.seed)
     print(f"rank oracle: {'ok' if mismatches == 0 else 'FAILED'} "
           f"({mismatches} mismatched instances)")
-    return 0 if report.passed and mismatches == 0 else 2
+    return 0 if all(passed) and mismatches == 0 else 2
 
 
 _COMMANDS = {

@@ -438,12 +438,16 @@ def sparsify_subset(store: TripleStore, keep_fraction: float, seed: int,
 
     Valid and test pass through unchanged; entities or relations that end up
     absent from the kept training split are only reported, never dropped.
-    Deterministic for a fixed seed.
+    A fraction that keeps no triple raises ValueError: nothing can train on
+    the result. Deterministic for a fixed seed.
     """
     if not 0.0 < keep_fraction <= 1.0:
         raise ValueError(f"keep_fraction must be in (0, 1], got {keep_fraction}")
     n_train = store.train.shape[0]
     n_keep = int(np.floor(keep_fraction * n_train))
+    if n_keep == 0:
+        raise ValueError(f"keep_fraction {keep_fraction} keeps no triple of the "
+                         f"{n_train} training triples")
     if keep_fraction == 1.0:
         kept = store.train.copy()
     else:

@@ -9,27 +9,34 @@ calls it on plain arrays, into a score buffer it reuses (`out=`); training's
 backward, `score_adjoints`, is written by hand (training's fused head shares
 both). The TransE backward needs the sign of every (query, entity,
 dimension) difference; it sums them as float-masked column blocks plus an
-exact-tie pass (`_l1_adjoints`). The TransE forward is cut into two row
-ranges and its backward into two dimension ranges, one per worker thread
-(`parallel`); inside a part of a split ranking pass the forward runs whole
-on that part's thread. Each row's distances and each dimension's sums keep
-their order, so scores and gradients are bitwise those of one thread. A
-DistMult GEMM is never cut: OpenBLAS rounds a row differently for different
-row counts.
+exact-tie pass (`_l1_adjoints`). Each thread packs a column block of the
+upstream gradient into a contiguous buffer once and reads it there for each
+of its dimensions. The adjoint's four (N x d) arrays are scratch regions:
+training's fused head takes them from the step workspace with its score and
+cell blocks (`adjoint_scratch`), any other caller gets fresh memory. The
+TransE forward is cut into two row ranges and its backward into two
+dimension ranges, one per worker thread (`parallel`); inside a part of a
+split ranking pass the forward runs whole on that part's thread. Each row's
+distances and each dimension's sums keep their order, so scores and
+gradients are bitwise those of one thread. A DistMult GEMM is never cut:
+OpenBLAS rounds a row differently for different row counts.
 """
 from __future__ import annotations
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from . import parallel
+from . import parallel, workspace
 from .autodiff import Tensor, _checked
 
 SCORE_HEADS = ("transe", "distmult")
 
 # entities per column block of the TransE backward (masked column blocks plus
-# an exact-tie pass): at B = 256 queries the block's slice of g and its float
-# mask buffer (1 MB together) stay in L2 across all d dimensions
+# an exact-tie pass). At B = 256 queries a thread's packed block of g and its
+# float mask buffer are 512 KB each, so both stay in its 2 MB share of L2
+# across all of its dimensions; read in place, the block was 256 runs of 2 KB
+# spaced N rows apart. With packing, widths 128, 512 and 1024 were slower
+# than 256 at WD-singer shape (2-core Xeon VM, one BLAS thread)
 ENTITY_BLOCK = 256
 
 
@@ -55,12 +62,27 @@ def batch_scores(head: str, h: Tensor, z: Tensor, src_ids, rel_ids) -> Tensor:
     return Tensor(scores, (h, z), backward)
 
 
+def adjoint_scratch(head: str, num_entities: int, dim: int) -> tuple:
+    """Shapes of the scratch regions `score_adjoints` takes for `head`.
+
+    TransE: the entity columns (d x N), the tail-side masked sums (N x d),
+    which end as the tail adjoint, the tie sums (N x d) and the sorted
+    columns (d x N). DistMult takes none.
+    """
+    if head != "transe":
+        return ()
+    return (dim, num_entities), (num_entities, dim), (num_entities, dim), (dim, num_entities)
+
+
 def score_adjoints(head: str, g: np.ndarray, h: np.ndarray, z: np.ndarray,
-                   src_ids: np.ndarray, rel_ids: np.ndarray):
+                   src_ids: np.ndarray, rel_ids: np.ndarray, scratch=None):
     """Gradients (grad_h, grad_z) of a (B, N) score block for upstream `g`.
 
     The query rows are rebuilt here, so a tape node holds no (B, d) copies
-    between its passes.
+    between its passes. `scratch` holds views of the shapes
+    `adjoint_scratch` gives, none of them `g`; they are spent when this
+    returns. Without it the TransE adjoint takes fresh memory. The returned
+    gradients are always fresh arrays.
     """
     h_src, z_rel = h[src_ids], z[rel_ids]
     if head == "distmult":
@@ -69,7 +91,7 @@ def score_adjoints(head: str, g: np.ndarray, h: np.ndarray, z: np.ndarray,
         d_tail = (query.T @ g).T
         d_src, d_rel = d_query * z_rel, d_query * h_src
     else:
-        d_query, d_tail = _l1_adjoints(g, h_src + z_rel, h)
+        d_query, d_tail = _l1_adjoints(g, h_src + z_rel, h, scratch)
         d_src = d_rel = d_query
     # source rows first, then the tail side: DistMult's bitwise parity with the
     # gather/matmul tape in tests/test_fused_parity.py rests on this order
@@ -81,34 +103,44 @@ def score_adjoints(head: str, g: np.ndarray, h: np.ndarray, z: np.ndarray,
     return grad_h, grad_z
 
 
-def _l1_adjoints(g: np.ndarray, query: np.ndarray, h: np.ndarray):
+def _l1_adjoints(g: np.ndarray, query: np.ndarray, h: np.ndarray, scratch=None):
     """Adjoints (d_query, d_tail) of S = -cdist(query, h, "cityblock") for upstream g.
 
     With s = sign(query[i, k] - h[j, k]): d_query[i, k] = -sum_j g[i, j] s and
     d_tail[j, k] = sum_i g[i, j] s. Off ties s = 2 [query > h] - 1, so each
     sum is twice a masked sum of g minus a row or column total of g. The
-    masked sums walk h in column blocks of ENTITY_BLOCK entities with one 0/1
-    float mask per dimension, multiplied by g in place, so no (B, N, d) array
-    exists. An exact tie has s = 0 where the mask counts -1; a sorted search
-    per dimension finds the tied (query, entity) pairs and adds their g back
-    on both sides. Each worker thread takes a range of dimensions with its
-    own mask buffer and writes only those columns.
+    masked sums walk h in column blocks of ENTITY_BLOCK entities. Each worker
+    thread takes a range of dimensions; per block it copies the block's
+    columns of g into a contiguous buffer of its own, then per dimension
+    writes a 0/1 float mask and multiplies it by the packed block, so no
+    (B, N, d) array exists. An exact tie has s = 0 where the mask counts -1;
+    a sorted search per dimension finds the tied (query, entity) pairs and
+    adds their g back on both sides.
+
+    The four (N x d) arrays are the views `scratch` holds (`adjoint_scratch`),
+    or fresh ones without it; d_tail is assembled in place in the masked-sum
+    region and returned as a view of it.
     """
     num_queries, num_entities = g.shape
     dim = h.shape[1]
-    h_cols = np.ascontiguousarray(h.T)
+    if scratch is None:
+        scratch = workspace.TRANSIENT.take(*adjoint_scratch("transe", num_entities, dim))
+    h_cols, above_t, tie_t, sorted_cols = scratch
+    np.copyto(h_cols, h.T)
     above_q = np.zeros((num_queries, dim))  # sum_j g[i, j] [query[i, k] > h[j, k]]
-    above_t = np.empty((num_entities, dim))  # sum_i of the same cells
+    # above_t: sum_i of the same cells, every one written by the block loop
     tie_q = np.zeros(above_q.shape)
-    tie_t = np.zeros(above_t.shape)
+    tie_t.fill(0.0)
     ones_q, ones_w = np.ones(num_queries), np.ones(ENTITY_BLOCK)
 
     def part(k_lo, k_hi):
+        packed = np.empty((num_queries, ENTITY_BLOCK))
         masked = np.empty((num_queries, ENTITY_BLOCK))
         for lo in range(0, num_entities, ENTITY_BLOCK):
-            g_blk, h_blk = g[:, lo:lo + ENTITY_BLOCK], h_cols[:, lo:lo + ENTITY_BLOCK]
-            w = g_blk.shape[1]
-            buf, ones = masked[:, :w], ones_w[:w]
+            h_blk = h_cols[:, lo:lo + ENTITY_BLOCK]
+            w = h_blk.shape[1]
+            g_blk, buf, ones = packed[:, :w], masked[:, :w], ones_w[:w]
+            np.copyto(g_blk, g[:, lo:lo + w])
             for k in range(k_lo, k_hi):
                 # the 0/1 float mask times g gives the bits of g times the cast bool
                 np.greater(query[:, k, None], h_blk[k], out=buf)
@@ -116,7 +148,9 @@ def _l1_adjoints(g: np.ndarray, query: np.ndarray, h: np.ndarray):
                 above_q[:, k] += buf @ ones
                 above_t[lo:lo + w, k] = ones_q @ buf
 
-        sorted_h = np.sort(h_cols[k_lo:k_hi], axis=1)
+        sorted_h = sorted_cols[k_lo:k_hi]
+        np.copyto(sorted_h, h_cols[k_lo:k_hi])
+        sorted_h.sort(axis=1)
         for k in range(k_lo, k_hi):
             left = np.searchsorted(sorted_h[k - k_lo], query[:, k], "left")
             count = np.searchsorted(sorted_h[k - k_lo], query[:, k], "right") - left
@@ -133,7 +167,11 @@ def _l1_adjoints(g: np.ndarray, query: np.ndarray, h: np.ndarray):
 
     parallel.run(part, parallel.cuts(dim, width=g.size))
     d_query = g.sum(axis=1)[:, None] - 2.0 * above_q - tie_q
-    d_tail = 2.0 * above_t - g.sum(axis=0)[:, None] + tie_t
+    # 2 above_t - colsum(g) + tie_t, the same operations in the same order
+    d_tail = above_t
+    d_tail *= 2.0
+    d_tail -= g.sum(axis=0)[:, None]
+    d_tail += tie_t
     return d_query, d_tail
 
 

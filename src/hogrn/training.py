@@ -28,7 +28,7 @@ from .kgdata import ExtendedGraph, TripleStore, Vocabulary, extend_triples, grou
 from .model import HoGRN
 from .optim import Adam
 # batch_scores is not called here: perfbench's tracer and the parity tests rebind it by this name
-from .scoring import SCORE_HEADS, batch_scores, score_adjoints, score_all_tails
+from .scoring import SCORE_HEADS, adjoint_scratch, batch_scores, score_adjoints, score_all_tails
 from .seeding import substream
 
 CHECKPOINT_VERSION = 2
@@ -143,20 +143,22 @@ def one_vs_all_loss(head: str, h: Tensor, z: Tensor, src_ids, rel_ids,
 
     It runs the same arithmetic, so the loss and the gradients of h and z
     are bitwise those of the two nodes. The score block and the cell block
-    are the head's regions of the lent workspace (`workspace`); the node
-    keeps them from its forward to its first backward, which writes the BCE
-    gradient over the cells and hands it to `score_adjoints`, then lets both
-    go. A backward that finds them gone or stale (a later take may have
-    reused them) scores the block again into fresh regions.
+    are the head's regions of the lent workspace (`workspace`), taken with
+    the adjoint's scratch regions behind them (`adjoint_scratch`; TransE
+    only). The node keeps them from its forward to its first backward,
+    which writes the BCE gradient over the cells and hands it and the
+    scratch to `score_adjoints`, then lets them go. A backward that finds
+    them gone or stale (a later take may have reused them) scores the block
+    again into fresh regions.
     """
     src_ids = np.asarray(src_ids, dtype=np.intp)
     rel_ids = np.asarray(rel_ids, dtype=np.intp)
     h_d, z_d = h.data, z.data
-    shape = (src_ids.size, h_d.shape[0])
+    shapes = ((src_ids.size, h_d.shape[0]),) * 2 + adjoint_scratch(head, *h_d.shape)
     work = workspace.lent()
-    block = work.take(shape, shape)
+    block = work.take(*shapes)
     taken = work.generation
-    scores, cells = block
+    scores, cells = block[:2]
     _checked(score_all_tails(head, h_d, z_d, src_ids, rel_ids, out=scores), "batch_scores")
     positive = _positive_cells(scores.shape, targets)
     loss = _checked(-_bce_cells(scores, positive, cells).mean(), "bce_loss")
@@ -164,12 +166,12 @@ def one_vs_all_loss(head: str, h: Tensor, z: Tensor, src_ids, rel_ids,
 
     def backward(g):
         if not block or work.generation != taken:
-            block[:] = work.take(shape, shape)
+            block[:] = work.take(*shapes)
             score_all_tails(head, h_d, z_d, src_ids, rel_ids, out=block[0])
-        s, grad = block
+        s, grad, *scratch = block
         block.clear()
         _bce_grad(s, positive, g / size, grad)
-        grad_h, grad_z = score_adjoints(head, grad, h_d, z_d, src_ids, rel_ids)
+        grad_h, grad_z = score_adjoints(head, grad, h_d, z_d, src_ids, rel_ids, scratch)
         h._accumulate_owned(grad_h)
         z._accumulate_owned(grad_z)
 

@@ -10,11 +10,17 @@ start of the buffer, and no two phases are live at once:
 |---|---|---|
 | aggregation forward | message block (E x d) | inside the call |
 | 1-vs-all head | score block, cell block (B x N each) | from the head's forward to its backward |
+| TransE head backward | behind the head's blocks: entity columns (d x N), masked sums (N x d), tie sums (N x d), sorted columns (d x N) | inside the head's backward |
 | aggregation backward | `d_h` (2E x d), `d_z` (E x d) | inside the call |
 | Adam | step and denominator scratch (each a parameter's shape) | inside one parameter's update |
 
-So the buffer grows to max(3 E d, 2 B N, 2 x the largest parameter) cells in
-the first step and keeps that size. On the tape the head's backward runs
+So the buffer grows to max(3 E d, 2 B N + 4 N d for TransE or 2 B N for
+DistMult, 2 x the largest parameter) cells in the first step and keeps that
+size; at the published shapes 3 E d is the largest. The TransE adjoint's
+regions are taken with the head's blocks, in one take, and are written
+before they are read inside its backward, which reads the upstream gradient
+from the cell block; the masked-sum region ends as the tail adjoint, spent
+by `score_adjoints` before it returns. On the tape the head's backward runs
 before either layer's aggregation backward, which needs the gradient it
 makes, and Adam runs after the whole backward. Only the head keeps its
 regions past a call. A later take may reuse them (a second forward built

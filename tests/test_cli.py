@@ -6,7 +6,7 @@ from dataclasses import asdict, fields
 import numpy as np
 import pytest
 
-from hogrn import cli
+from hogrn import cli, scoring
 from hogrn.cli import main, parse_config_file
 from hogrn.kgdata import load_dataset
 from hogrn.model import HoGRN
@@ -91,6 +91,15 @@ def test_sparsify_writes_loadable_dataset(six_dir, tmp_path, capsys):
     assert store.train.shape == (4, 3)
     assert store.valid.shape[0] == 2 and store.test.shape[0] == 2
     assert vocab.num_entities == 6
+
+
+def test_sparsify_refuses_a_fraction_that_keeps_no_triple(six_dir, tmp_path, capsys):
+    out = tmp_path / "reduced"
+    assert main(["sparsify", str(six_dir), "--keep", "0.1", "--seed", "0", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: keep_fraction 0.1 keeps no triple of the 8 training triples\n"
+    assert "kept_train" not in captured.out
+    assert not out.exists()
 
 
 def test_train_writes_checkpoint_and_log(six_dir, tmp_path, capsys):
@@ -465,6 +474,26 @@ def test_selfcheck_passes_clean(capsys):
 def test_selfcheck_catches_injected_fault(capsys):
     assert main(["selfcheck", "--seed", "0", "--coords", "2", "--fault-scale", "0.5"]) == 2
     assert "fault injection active" in capsys.readouterr().out
+
+
+def test_selfcheck_checks_both_heads(monkeypatch, capsys):
+    def summaries(out):
+        return dict(re.findall(r"^(\w+): gradient check: 20 coordinates, .* -> (.+)$", out, re.M))
+
+    assert main(["selfcheck", "--seed", "0", "--coords", "2", "--fault-scale", "0.5"]) == 2
+    assert summaries(capsys.readouterr().out) == {"distmult": "20 failure(s)",
+                                                  "transe": "20 failure(s)"}
+    # a wrong TransE tail adjoint fails the command while DistMult still passes
+    adjoints = scoring._l1_adjoints
+
+    def doubled_tail(*args):
+        d_query, d_tail = adjoints(*args)
+        return d_query, 2.0 * d_tail
+
+    monkeypatch.setattr(scoring, "_l1_adjoints", doubled_tail)
+    assert main(["selfcheck", "--seed", "0", "--coords", "2"]) == 2
+    got = summaries(capsys.readouterr().out)
+    assert got["distmult"] == "ok" and got["transe"].endswith("failure(s)")
 
 
 def test_help_exits_zero(capsys):

@@ -293,6 +293,13 @@ def test_sparsify_rejects_bad_fraction(six_dataset):
             sparsify_subset(store, bad, 0, vocab)
 
 
+def test_sparsify_refuses_a_fraction_that_keeps_no_triple(six_dataset):
+    store, vocab = six_dataset
+    with pytest.raises(ValueError, match=r"keep_fraction 0\.12 keeps no triple of the 8 training"):
+        sparsify_subset(store, 0.12, 0, vocab)
+    assert sparsify_subset(store, 0.125, 0, vocab)[1].kept_train == 1
+
+
 def test_splits_and_known_facts(six_dataset):
     store, _ = six_dataset
     assert set(store.splits()) == {"train", "valid", "test"}

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hogrn import autodiff as ad
-from hogrn import scoring
+from hogrn import scoring, workspace
 from hogrn.autodiff import Tensor
 from hogrn.scoring import SCORE_HEADS, batch_scores, score_all_tails
 
@@ -233,3 +233,29 @@ def test_transe_gradients_keep_sign_zero_at_exact_ties(monkeypatch, width):
     want_h, want_z = _sign_cube_grads(h, z, src, rel, c)
     np.testing.assert_array_equal(ht.grad, want_h)
     np.testing.assert_array_equal(zt.grad, want_z)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("width", [None, 2, 4])
+def test_l1_adjoints_equal_the_sign_cube_exactly(monkeypatch, use_workers, width, workers):
+    # dyadic g, queries and entities with many exact ties make every sum exact,
+    # so the packed mask blocks plus the tie pass must give the sign cube's bits.
+    # N = 10: width 2 divides it, 4 leaves a last block of 2, the default one
+    # partial block. Scratch regions full of NaN must not leak into the result
+    if width is not None:
+        monkeypatch.setattr(scoring, "ENTITY_BLOCK", width)
+    use_workers(workers)
+    rng = np.random.default_rng(21)
+    h = rng.integers(-3, 4, size=(10, 5)) / 4.0
+    query = rng.integers(-3, 4, size=(7, 5)) / 4.0
+    query[3] = h[6]
+    g = rng.integers(-16, 17, size=(7, 10)) / 16.0
+    assert (query[:, None, :] == h[None, :, :]).sum() >= 40
+    weighted = g[:, :, None] * np.sign(query[:, None, :] - h[None, :, :])
+    want = (-weighted.sum(axis=1), weighted.sum(axis=0))
+    work = workspace.Workspace()
+    work.take((1000,))[0].fill(np.nan)
+    poisoned = work.take(*scoring.adjoint_scratch("transe", 10, 5))
+    for scratch in (None, poisoned):
+        for got, expected in zip(scoring._l1_adjoints(g, query, h, scratch), want):
+            np.testing.assert_array_equal(got, expected)
