@@ -34,9 +34,9 @@ SCORE_HEADS = ("transe", "distmult")
 # entities per column block of the TransE backward (masked column blocks plus
 # an exact-tie pass). At B = 256 queries a thread's packed block of g and its
 # float mask buffer are 512 KB each, so both stay in its 2 MB share of L2
-# across all of its dimensions; read in place, the block was 256 runs of 2 KB
-# spaced N rows apart. With packing, widths 128, 512 and 1024 were slower
-# than 256 at WD-singer shape (2-core Xeon VM, one BLAS thread)
+# across all of its dimensions (unpacked, the block is 256 runs of 2 KB, N
+# rows apart). `_l1_adjoints` at WD-singer shape took 282, 241, 269 and 332
+# ms at widths 128, 256, 512 and 1024 (2-core Xeon VM, one BLAS thread)
 ENTITY_BLOCK = 256
 
 
