@@ -8,15 +8,18 @@ start of the buffer, and no two phases are live at once:
 
 | phase | regions | live |
 |---|---|---|
-| aggregation forward | message block (E x d) | inside the call |
+| aggregation forward | message block (C x d) | inside the call |
 | 1-vs-all head | score block, cell block (B x N each) | from the head's forward to its backward |
 | TransE head backward | behind the head's blocks: entity columns (d x N), masked sums (N x d), tie sums (N x d), sorted columns (d x N) | inside the head's backward |
-| aggregation backward | `d_h` (2E x d), `d_z` (E x d) | inside the call |
+| aggregation backward | target-side rows (E x d), one chunk's source-side and relation rows (C x d each) | inside the call |
 | Adam | step and denominator scratch (each a parameter's shape) | inside one parameter's update |
 
-So the buffer grows to max(3 E d, 2 B N + 4 N d for TransE or 2 B N for
-DistMult, 2 x the largest parameter) cells in the first step and keeps that
-size; at the published shapes 3 E d is the largest. The TransE adjoint's
+C is the edge count of the graph's largest aggregation chunk (`kgdata`,
+about E / AGGREGATION_CHUNKS). So the buffer grows to max((E + 2 C) d,
+2 B N + 4 N d for TransE or 2 B N for DistMult, 2 x the largest parameter)
+cells in the first step and keeps that size; at the published shapes the
+head's phase is the largest (NELL23K 11.74M cells against 11.07M for
+aggregation, WD-singer 9.38M against 6.39M). The TransE adjoint's
 regions are taken with the head's blocks, in one take, and are written
 before they are read inside its backward, which reads the upstream gradient
 from the cell block; the masked-sum region ends as the tail adjoint, spent

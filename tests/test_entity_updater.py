@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from scipy.sparse import csr_array
+
 import hogrn.entity_updater
+import hogrn.kgdata
 from hogrn import autodiff as ad
 from hogrn.autodiff import Tensor
-from hogrn.entity_updater import aggregate
+from hogrn.entity_updater import add_product, aggregate
 from hogrn.kgdata import ExtendedGraph, extend_triples
 
-from conftest import make_store
+from conftest import make_store, star_store
 
 TANH_2 = 0.9640275800758169
 # six_graph has 22 edges (8 raw, 8 inverse, 6 self-loops) and fits in one
@@ -241,3 +244,67 @@ def test_aggregate_rejects_overflow_in_a_later_edge_block(monkeypatch, six_graph
             aggregate(Tensor(h), Tensor(z), six_graph)
     assert np.flatnonzero(~np.isfinite(pre)).tolist() == [six_graph.num_edges - 1]
     assert (six_graph.num_edges - 1) // SMALL_EDGE_BLOCK > 0
+
+
+def _chunked_results(store, vocab, chunks, seed):
+    """h_next, attention, grad_h and grad_z of one layer on a graph cut into `chunks`."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hogrn.kgdata, "AGGREGATION_CHUNKS", chunks)
+        graph = extend_triples(store, vocab)
+    assert len(graph.chunk_bounds) == min(chunks, graph.num_edges)
+    rng = np.random.default_rng(seed)
+    dim = 5
+    h = Tensor(rng.normal(size=(graph.num_entities, dim)))
+    z = Tensor(rng.normal(size=(graph.num_relations, dim)))
+    c = rng.normal(size=(graph.num_entities, dim))
+    out, att = aggregate(h, z, graph)
+    ad.sum_all(out * c).backward()
+    return out.data, att, h.grad, z.grad
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("graph", ["six", "star"])
+def test_the_chunk_count_changes_no_bit(monkeypatch, use_workers, six_dataset, graph, workers):
+    # each row of h_next, grad_h and grad_z continues its sum from chunk to
+    # chunk in edge order; the star's hubs s and t end 32 and 63 edges, so their
+    # rows cross every chunk bound. Blocks of 2 edges let two workers split
+    # every chunk of two blocks or more
+    monkeypatch.setattr(hogrn.entity_updater, "EDGE_BLOCK", 2)
+    use_workers(workers)
+    store, vocab = six_dataset if graph == "six" else star_store()
+    whole = _chunked_results(store, vocab, 1, 11)
+    num_edges = extend_triples(store, vocab).num_edges
+    for chunks in (2, 3, 4, num_edges + 3):
+        got = _chunked_results(store, vocab, chunks, 11)
+        for name, a, b in zip(("h_next", "attention", "grad_h", "grad_z"), got, whole):
+            assert np.array_equal(a, b), f"{name} at {chunks} chunks"
+
+
+def test_add_product_continues_each_row_sum_in_place():
+    rng = np.random.default_rng(12)
+    matrix = csr_array(rng.normal(size=(7, 9)) * (rng.random((7, 9)) < 0.5))
+    operand = rng.normal(size=(9, 4))
+    out = np.zeros((7, 4))
+    add_product(out, matrix, operand)
+    assert np.array_equal(out, matrix @ operand)
+
+    # one row over three columns, cut after the first: 1 + 1e16 rounds to
+    # 1e16, so the sum in column order is 0 while 1 + (1e16 - 1e16) is 1
+    values = np.array([[1.0], [1e16], [-1e16]])
+    unit = csr_array(np.ones((1, 3)))
+    out = np.zeros((1, 1))
+    add_product(out, csr_array(np.ones((1, 1))), values[:1])
+    add_product(out, csr_array(np.ones((1, 2))), values[1:])
+    assert np.array_equal(out, unit @ values)
+    assert out[0, 0] == 0.0
+    fresh = csr_array(np.ones((1, 1))) @ values[:1] + csr_array(np.ones((1, 2))) @ values[1:]
+    assert fresh[0, 0] == 1.0
+
+
+@pytest.mark.parametrize("out", [
+    pytest.param(np.zeros((3, 4))[:, ::2], id="strided"),
+    pytest.param(np.zeros((3, 2), order="F"), id="fortran"),
+    pytest.param(np.zeros((3, 2), dtype=np.float32), id="float32")])
+def test_add_product_refuses_an_out_it_cannot_write_in_place(out):
+    with pytest.raises(ValueError, match="C-contiguous float64"):
+        add_product(out, csr_array(np.ones((3, 5))), np.ones((5, 2)))

@@ -15,6 +15,7 @@ import pytest
 from scipy.special import expit, log_expit
 
 import hogrn.entity_updater
+import hogrn.kgdata
 import hogrn.model
 import hogrn.training
 from hogrn import autodiff as ad
@@ -170,6 +171,15 @@ def test_fused_layers_match_the_unfused_tape_bitwise(monkeypatch, head, seed):
 @pytest.mark.parametrize("seed", [0, 2])
 @pytest.mark.parametrize("head", ["distmult", "transe"])
 def test_fused_layers_match_the_unfused_tape_bitwise_in_small_edge_blocks(monkeypatch, head, seed):
+    monkeypatch.setattr(hogrn.entity_updater, "EDGE_BLOCK", SMALL_EDGE_BLOCK)
+    _compare(monkeypatch, FUSED_LAYERS, head, seed, True, _bitwise)
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+@pytest.mark.parametrize("head", ["distmult", "transe"])
+def test_fused_layers_match_the_unfused_tape_bitwise_in_many_chunks(monkeypatch, head, seed):
+    # 9 chunks of 41 or 42 edges, most of them ending in a partial block of 7
+    monkeypatch.setattr(hogrn.kgdata, "AGGREGATION_CHUNKS", 9)
     monkeypatch.setattr(hogrn.entity_updater, "EDGE_BLOCK", SMALL_EDGE_BLOCK)
     _compare(monkeypatch, FUSED_LAYERS, head, seed, True, _bitwise)
 

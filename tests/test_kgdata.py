@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hogrn.kgdata import (
+    AGGREGATION_CHUNKS,
     ExtendedGraph,
     TripleStore,
     Vocabulary,
@@ -146,10 +147,17 @@ def test_extension_rejects_duplicate_triples_naming_first_repeat():
 
 def test_incidence_rows_list_edges_in_edge_order(six_graph):
     g = six_graph
-    endpoints = np.concatenate([g.edge_src, g.edge_tgt])
-    for incidence, rows, num_rows in ((g.tgt_incidence, g.edge_tgt, g.num_entities),
-                                      (g.endpoint_incidence, endpoints, g.num_entities),
-                                      (g.rel_incidence, g.edge_rel, g.num_relations)):
+    # the chunks cover [0, E) in order, with no gap and no overlap
+    assert len(g.chunk_bounds) == AGGREGATION_CHUNKS
+    assert g.chunk_bounds[0][0] == 0 and g.chunk_bounds[-1][1] == g.num_edges
+    for (_, hi), (lo, _) in zip(g.chunk_bounds[:-1], g.chunk_bounds[1:]):
+        assert hi == lo
+    cases = [(g.tgt_incidence, g.edge_tgt, g.num_entities)]
+    for (lo, hi), src, tgt, rel in zip(g.chunk_bounds, g.src_chunks, g.tgt_chunks, g.rel_chunks):
+        assert lo < hi
+        cases += [(src, g.edge_src[lo:hi], g.num_entities), (tgt, g.edge_tgt[lo:hi], g.num_entities),
+                  (rel, g.edge_rel[lo:hi], g.num_relations)]
+    for incidence, rows, num_rows in cases:
         assert incidence.shape == (num_rows, rows.shape[0])
         np.testing.assert_array_equal(incidence.data, 1.0)
         for i in range(num_rows):

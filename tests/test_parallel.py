@@ -15,6 +15,7 @@ import pytest
 from scipy.special import log_expit
 
 import hogrn.entity_updater
+import hogrn.kgdata
 from hogrn import autodiff as ad
 from hogrn import evaluation, parallel, scoring
 from hogrn.autodiff import Tensor
@@ -28,6 +29,16 @@ from hogrn.training import TrainConfig, bce_loss, fit
 # blocks of 7 put the cut of six_graph's 22 edges at edge 14, inside the
 # inverse section (edges 8 to 15)
 SMALL_EDGE_BLOCK = 7
+
+
+@pytest.fixture
+def six_graph(six_dataset):
+    """conftest's six_graph built as one aggregation chunk, so that two workers
+    cut each pass over its edges where the tests below expect."""
+    store, vocab = six_dataset
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hogrn.kgdata, "AGGREGATION_CHUNKS", 1)
+        return extend_triples(store, vocab)
 
 
 def test_cuts_split_on_step_multiples(use_workers):

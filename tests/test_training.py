@@ -337,17 +337,24 @@ def test_a_steady_transe_head_backward_allocates_one_entity_sized_array(monkeypa
     assert peaks[-1] < 2 * entity_bytes, f"{peaks[-1] / entity_bytes:.2f} (N x d) arrays at the peak"
 
 
-def _planted_steps(head, poison, steps=3):
+def _planted_steps(head, poison, steps=3, ties=False):
     """Losses, per-step gradients and the parameters after Adam of a few planted-rule steps.
 
     `poison(workspace, when)` runs before each step ("step") and between
-    building each loss and its backward ("backward").
+    building each loss and its backward ("backward"). With `ties`, dimension
+    0 of the relation embedding and of each mixer's last weight is zero, so
+    that dimension of every final state is 0 and each TransE query ties
+    every entity there; Adam's rate is 0, so every step ties the same way.
     """
     store, vocab = rule_composition_kg(num_entities=60, seed=1)
     graph = extend_triples(store, vocab)
+    assert len(graph.chunk_bounds) > 1
     model = TrainConfig(dim=8, head=head, mask_ratio=0.3, seed=1).build_model(graph)
+    if ties:
+        for name in ("relation_embedding", "mixer0_w4", "mixer1_w4"):
+            model.params[name].data[:, 0] = 0.0
     queries = build_queries(graph)
-    optimizer = Adam(model.params, lr=1e-2)
+    optimizer = Adam(model.params, lr=0.0 if ties else 1e-2)
     mask_rng = substream(1, "masking")
     order = substream(1, "shuffling").permutation(len(queries))
     losses, grads = [], []
@@ -360,25 +367,36 @@ def _planted_steps(head, poison, steps=3):
         losses.append(loss.item())
         grads.append(model.params.gradients())
         optimizer.step()
+    if ties:
+        h, z, _ = model.eval_states()
+        assert not h[:, 0].any() and not z[:, 0].any()
     return losses, grads, model.params.state_dict()
 
 
 @pytest.mark.parametrize("at", ["step", "backward"])
-@pytest.mark.parametrize("head", ["distmult", "transe"])
-def test_every_workspace_region_is_written_before_it_is_read(head, at):
-    # NaN over the whole workspace before each step, or between a loss and its
-    # backward, where the head must rescore rather than read a stale block
-    def poison(workspace, when):
-        if when == at:
-            workspace.take((workspace.cells,))[0].fill(np.nan)
+@pytest.mark.parametrize("head, ties", [
+    pytest.param("distmult", False, id="distmult"), pytest.param("transe", False, id="transe"),
+    pytest.param("transe", True, id="transe-ties")])
+def test_every_workspace_region_is_written_before_it_is_read(head, ties, at):
+    # NaN, then zeros, over the whole workspace before each step, or between a
+    # loss and its backward, where the head must rescore rather than read a
+    # stale block. The first poison grows the workspace past every phase of
+    # these steps, so no later take maps fresh memory that it missed. The
+    # planted-rule steps have no exact TransE ties of their own; in the tied
+    # case a sorted-columns region read unwritten finds every tie when it
+    # holds zeros and none when it holds NaN
+    plain = _planted_steps(head, lambda workspace, when: None, ties=ties)
+    for fill in (np.nan, 0.0):
+        def poison(workspace, when, fill=fill):
+            if when == at:
+                workspace.take((max(workspace.cells, 1 << 15),))[0].fill(fill)
 
-    plain = _planted_steps(head, lambda workspace, when: None)
-    poisoned = _planted_steps(head, poison)
-    assert poisoned[0] == plain[0]
-    for got, want in zip(poisoned[1] + [poisoned[2]], plain[1] + [plain[2]]):
-        assert got.keys() == want.keys()
-        for name in want:
-            np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+        poisoned = _planted_steps(head, poison, ties=ties)
+        assert poisoned[0] == plain[0]
+        for got, want in zip(poisoned[1] + [poisoned[2]], plain[1] + [plain[2]]):
+            assert got.keys() == want.keys()
+            for name in want:
+                np.testing.assert_array_equal(got[name], want[name], err_msg=f"{name}, fill {fill}")
 
 
 @pytest.mark.parametrize("head", ["distmult", "transe"])
@@ -431,20 +449,23 @@ def test_inference_keeps_no_workspace():
     pytest.param("distmult", 2, id="2"), pytest.param("distmult", 8, id="8"),
     pytest.param("distmult", 40, id="40"), pytest.param("transe", 5, id="transe-5")])
 def test_the_workspace_is_sized_to_its_largest_phase(six_graph, head, dim):
-    # 2 B N cells win at dim 2, 3 E d at dim 8 and twice the (d x 2d) mixer at
-    # dim 40. The TransE head takes its adjoint's four (N x d) regions behind
-    # its blocks: at dim 5 they make the head's phase the largest, where
-    # 2 B N alone would lose to 3 E d
+    # 2 B N cells win at dim 2, (E + 2 C) d at dim 8 and twice the (d x 2d)
+    # mixer at dim 40. The TransE head takes its adjoint's four (N x d) regions
+    # behind its blocks: at dim 5 they make the head's phase the largest, where
+    # 2 B N alone would lose to (E + 2 C) d. six_graph's 22 edges make chunks
+    # of 5, 6, 5 and 6 edges, so C is 6
     queries = build_queries(six_graph)
     model = TrainConfig(dim=dim, head=head, mask_ratio=0.0, seed=0).build_model(six_graph)
-    batch = np.arange(len(queries))
+    batch = np.arange(12)
     loss = batch_loss(model, queries, batch, None, 0.1, 1.0)
     loss.backward()
     Adam(model.params).step()
     largest = max(p.data.size for _, p in model.params.items())
     num_entities = six_graph.num_entities
     blocks = 2 * batch.size * num_entities
-    phases = {"aggregation": 3 * six_graph.num_edges * dim,
+    chunk = max(hi - lo for lo, hi in six_graph.chunk_bounds)
+    assert chunk == 6
+    phases = {"aggregation": (six_graph.num_edges + 2 * chunk) * dim,
               "head": blocks + (4 * num_entities * dim if head == "transe" else 0),
               "adam": 2 * largest}
     assert model.params.workspace.cells == max(phases.values())
