@@ -23,9 +23,11 @@ from scipy.sparse import csr_array
 from .seeding import substream
 
 SPLIT_FILES = ("train.txt", "valid.txt", "test.txt")
-# edge chunks of each aggregation pass (see `entity_updater`): at NELL23K
-# shape (E = 73,815, d = 100) the step workspace is 14.76M, 11.74M and 11.74M
-# cells at 2, 4 and 8 chunks, because from 4 on the head's 2 B N sets it
+# edge chunks of each aggregation pass (see `entity_updater`). At NELL23K
+# shape (E = 73,815, d = 100, B = 256) a DistMult step's workspace is 22.14M,
+# 14.76M, 11.74M and 11.74M cells and its traced backward peak 372, 314, 290
+# and 292 MB at 1, 2, 4 and 8 chunks: from 4 on the head's 2 B N sets the
+# workspace, and more chunks only add index arrays and calls
 AGGREGATION_CHUNKS = 4
 
 

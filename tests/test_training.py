@@ -373,23 +373,41 @@ def _planted_steps(head, poison, steps=3, ties=False):
     return losses, grads, model.params.state_dict()
 
 
-@pytest.mark.parametrize("at", ["step", "backward"])
+def _poison_every_take(workspace, fill):
+    """Make each take of `workspace` hand out its views filled with `fill`."""
+    take = workspace.take
+
+    def poisoned(*shapes):
+        views = take(*shapes)
+        for view in views:
+            view.fill(fill)
+        return views
+
+    workspace.take = poisoned
+
+
+@pytest.mark.parametrize("at", ["step", "backward", "take"])
 @pytest.mark.parametrize("head, ties", [
     pytest.param("distmult", False, id="distmult"), pytest.param("transe", False, id="transe"),
     pytest.param("transe", True, id="transe-ties")])
 def test_every_workspace_region_is_written_before_it_is_read(head, ties, at):
     # NaN, then zeros, over the whole workspace before each step, or between a
     # loss and its backward, where the head must rescore rather than read a
-    # stale block. The first poison grows the workspace past every phase of
-    # these steps, so no later take maps fresh memory that it missed. The
-    # planted-rule steps have no exact TransE ties of their own; in the tied
-    # case a sorted-columns region read unwritten finds every tie when it
-    # holds zeros and none when it holds NaN
+    # stale block; or over every region as it is taken, which no phase may
+    # read before it writes. The first whole-workspace poison grows the
+    # workspace past every phase of these steps, so no later take maps fresh
+    # memory that it missed. The planted-rule steps have no exact TransE ties
+    # of their own; in the tied case a sorted-columns region read unwritten
+    # finds every tie when it holds zeros and none when it holds NaN
     plain = _planted_steps(head, lambda workspace, when: None, ties=ties)
     for fill in (np.nan, 0.0):
         def poison(workspace, when, fill=fill):
-            if when == at:
-                workspace.take((max(workspace.cells, 1 << 15),))[0].fill(fill)
+            if at == "take":
+                if "take" not in vars(workspace):
+                    _poison_every_take(workspace, fill)
+            elif when == at:
+                assert workspace.cells <= 1 << 15, "a phase outgrew the poisoned workspace"
+                workspace.take((1 << 15,))[0].fill(fill)
 
         poisoned = _planted_steps(head, poison, ties=ties)
         assert poisoned[0] == plain[0]
