@@ -7,7 +7,8 @@ Subcommands:
 * train: fit a model; writes checkpoint.npz and train_log.txt to --out
 * eval: filtered ranking metrics for a checkpoint on valid or test
 * explain: attention-weighted paths behind one (source, target) pair
-* selfcheck: finite-difference gradient check of both heads plus rank-oracle equivalence
+* selfcheck: finite-difference gradient check of both heads, the loss cells against scipy,
+  and rank-oracle equivalence
 
 The DATA_DIR argument may be omitted when the HOGRN_DATA environment
 variable points at a dataset directory. Training options come from defaults,
@@ -26,6 +27,7 @@ from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
+from scipy.special import log_expit
 
 from .evaluation import DIRECTIONS, build_filter_index, evaluate_split, filtered_rank, oracle_rank
 from .explain import explain, to_dot, to_records
@@ -35,7 +37,8 @@ from .optim import finite_difference_check
 from .scoring import score_all_tails
 from .seeding import substream
 from .synthetic import rule_composition_kg
-from .training import TrainConfig, batch_loss, build_queries, fit, restore_model, save_checkpoint
+from .training import (TrainConfig, _bce_cells, batch_loss, build_queries, fit, restore_model,
+                       save_checkpoint)
 
 _BOOL_WORDS = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
 
@@ -206,11 +209,12 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     store, vocab = _load_with_coverage_warning(args.data_dir)
-    model, _, _ = restore_model(args.checkpoint, store, vocab)
-    h, z, _ = model.eval_states()
+    # an empty split is found before the checkpoint is restored and run
     triples = store.valid if args.split == "valid" else store.test
     if triples.shape[0] == 0:
         raise UsageError(f"split {args.split!r} is empty")
+    model, _, _ = restore_model(args.checkpoint, store, vocab)
+    h, z, _ = model.eval_states()
     filter_index = build_filter_index(store, vocab)
     report = evaluate_split(model.head, h, z, triples, filter_index,
                             model.graph.num_raw_relations, args.direction)
@@ -301,13 +305,41 @@ def _gradient_check(head: str, graph, queries, args) -> bool:
     return report.passed
 
 
+def _loss_cell_check() -> bool:
+    """Compare the BCE's loss cells against scipy's `log_expit` on a fixed grid.
+
+    numpy picks its vector `exp` and `log1p` by CPU, so this checks the code
+    this machine runs. A cell passes within 4 ulp and with the sign of
+    scipy's cell, -0.0 included. Prints one summary line.
+    """
+    ends = np.geomspace(1e-320, 1e3, 50_000)
+    special = np.array([0.0, 5e-324, 36.0, 37.0, 709.78, 745.2, 1000.0, 1e300, np.inf])
+    x = np.concatenate([np.linspace(-50.0, 50.0, 100_001), ends, -ends, special, -special])
+    x = np.resize(x, (-(-x.size // 1000), 1000))
+    positive = np.arange(x.size).reshape(x.shape) % 2 == 0
+    cells = _bce_cells(np.where(positive, x, -x), positive, np.empty_like(x))
+    reference = log_expit(x)
+    # same-signed floats are as many ulps apart as their magnitude bit patterns
+    magnitude = np.int64(np.iinfo(np.int64).max)
+    ulps = int(np.abs((cells.view(np.int64) & magnitude)
+                      - (reference.view(np.int64) & magnitude)).max())
+    signs = np.count_nonzero(np.signbit(cells) != np.signbit(reference))
+    passed = ulps <= 4 and signs == 0
+    print(f"loss cells: {'ok' if passed else 'FAILED'} (max {ulps} ulp over {x.size} cells"
+          + (f", {signs} sign mismatches)" if signs else ")"))
+    return passed
+
+
 def _cmd_selfcheck(args) -> int:
+    if args.coords < 1:
+        raise UsageError(f"--coords must be positive, got {args.coords}")
     store, vocab = rule_composition_kg(num_entities=24, seed=args.seed)
     graph = extend_triples(store, vocab)
     queries = build_queries(graph)
     passed = [_gradient_check(head, graph, queries, args) for head in ("distmult", "transe")]
     if args.fault_scale:
         print("fault injection active: a failure above confirms the checker catches bad gradients")
+    passed.append(_loss_cell_check())
 
     mismatches = _rank_oracle_suite(args.seed)
     print(f"rank oracle: {'ok' if mismatches == 0 else 'FAILED'} "

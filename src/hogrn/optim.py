@@ -239,8 +239,11 @@ def finite_difference_check(loss_fn, store: ParameterStore, tol: float = 1e-4,
     `max_coords_per_param` caps the sample (drawn from `rng`). Relative error is
     |g - g_fd| / max(1e-8, |g| + |g_fd|). `fault_scale` deliberately perturbs the
     analytic gradients before comparison; it exists so self-verification can
-    prove the checker detects a corrupted adjoint.
+    prove the checker detects a corrupted adjoint. A cap below 1 would check
+    nothing and pass, so it raises ValueError.
     """
+    if max_coords_per_param is not None and max_coords_per_param < 1:
+        raise ValueError(f"max_coords_per_param must be positive, got {max_coords_per_param}")
     store.zero_grad()
     loss_fn(store).backward()
     analytic = store.gradients()

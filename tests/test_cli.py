@@ -278,6 +278,18 @@ def test_eval_empty_split_is_user_error(write_dataset, tmp_path, capsys):
     assert "'test' is empty" in capsys.readouterr().err
 
 
+def test_eval_refuses_an_empty_split_before_restoring(write_dataset, tmp_path, monkeypatch,
+                                                      capsys):
+    data = write_dataset([("a", "r", "b")], [("a", "r", "b")], [])
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the checkpoint was restored before the split was checked")
+
+    monkeypatch.setattr(cli, "restore_model", refuse)
+    assert main(["eval", str(tmp_path / "never-read.npz"), str(data), "--split", "test"]) == 1
+    assert capsys.readouterr().err == "error: split 'test' is empty\n"
+
+
 def test_train_and_eval_warn_once_naming_the_first_triple_unseen_in_training(
         write_dataset, tmp_path, capsys):
     # valid row 2 uses relation r9 and test row 2 entity g (rows from 0); train has neither
@@ -494,6 +506,34 @@ def test_selfcheck_checks_both_heads(monkeypatch, capsys):
     assert main(["selfcheck", "--seed", "0", "--coords", "2"]) == 2
     got = summaries(capsys.readouterr().out)
     assert got["distmult"] == "ok" and got["transe"].endswith("failure(s)")
+
+
+def test_selfcheck_refuses_coords_below_one_before_building_a_model(monkeypatch, capsys):
+    # --coords 0 checked no coordinate and passed, even with --fault-scale 0.5
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a model was built before --coords was checked")
+
+    monkeypatch.setattr(cli, "rule_composition_kg", refuse)
+    for coords in ("0", "-1"):
+        assert main(["selfcheck", "--coords", coords, "--fault-scale", "0.5"]) == 1
+        assert capsys.readouterr().err == f"error: --coords must be positive, got {coords}\n"
+
+
+def test_selfcheck_checks_the_loss_cells_against_scipy(monkeypatch, capsys):
+    assert main(["selfcheck", "--seed", "0", "--coords", "2"]) == 0
+    line = re.search(r"^loss cells: ok \(max (\d+) ulp over (\d+) cells\)$",
+                     capsys.readouterr().out, re.M)
+    assert line and int(line[1]) <= 4 and int(line[2]) > 100_000
+
+    def no_min_term(s, positive, cells):
+        # -log1p(exp(-|x|)) alone: wrong for every x below 0
+        np.log1p(np.exp(-np.abs(s)), out=cells)
+        return np.negative(cells, out=cells)
+
+    monkeypatch.setattr(cli, "_bce_cells", no_min_term)
+    assert main(["selfcheck", "--seed", "0", "--coords", "2"]) == 2
+    assert re.search(r"^loss cells: FAILED \(max \d+ ulp over \d+ cells\)$",
+                     capsys.readouterr().out, re.M)
 
 
 def test_help_exits_zero(capsys):

@@ -188,3 +188,14 @@ def test_finite_difference_check_coordinate_sampling():
                                      rng=np.random.default_rng(0))
     assert report.num_checked == 10
     assert report.passed
+
+
+def test_finite_difference_check_refuses_a_cap_below_one():
+    # a cap of 0 would check no coordinate and pass
+    store = ParameterStore()
+    store.add("w", np.ones((2, 2)))
+    store.add("b", np.ones((2, 2)))
+    for cap in (0, -3):
+        with pytest.raises(ValueError, match=f"max_coords_per_param must be positive, got {cap}"):
+            finite_difference_check(quadratic_loss, store, max_coords_per_param=cap,
+                                     fault_scale=0.5)

@@ -6,6 +6,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from scipy.special import log_expit
 
 import hogrn.training
 from hogrn import workspace
@@ -142,6 +143,58 @@ def test_bce_second_backward_accumulates_like_any_node():
 def test_bce_rejects_shape_mismatch():
     with pytest.raises(ValueError):
         bce_loss(Tensor(np.zeros((2, 3))), np.zeros((3, 2)))
+
+
+def _loss_cells(x, seed=0):
+    """`_bce_cells` of log sigmoid(x), each x reached through a random sign flip."""
+    positive = np.random.default_rng(seed).random(x.shape) < 0.5
+    return hogrn.training._bce_cells(np.where(positive, x, -x), positive, np.empty_like(x))
+
+
+def _assert_within_4_ulp_of_scipy(cells, x):
+    want = log_expit(x)
+    np.testing.assert_array_equal(np.signbit(cells), np.signbit(want))  # -0.0 included
+    finite = np.isfinite(want)
+    np.testing.assert_array_equal(cells[~finite], want[~finite])
+    off = np.abs(cells[finite] - want[finite]) / np.spacing(np.abs(want[finite]))
+    assert off.max() <= 4.0, f"{off.max()} ulp at x = {x[finite][np.argmax(off)]!r}"
+
+
+def _score_grid():
+    """Uniform and geometric scores of both signs, with the edges of exp and log1p."""
+    ends = np.geomspace(1e-320, 1e3, 100_000)
+    edges = np.array([0.0, 5e-324, 36.0, 37.0, 709.78, 745.2, 1000.0, 1e300])
+    rng = np.random.default_rng(24)
+    return np.concatenate([rng.uniform(-50.0, 50.0, 200_000), ends, -ends,
+                           np.tile(np.concatenate([edges, -edges]), 100)])
+
+
+@pytest.mark.parametrize("scale", [None, 1e-8, 1.0, 30.0, 800.0])
+def test_loss_cells_are_within_4_ulp_of_scipy_with_its_zero_signs(scale):
+    # numpy's vector exp and log1p against scipy's scalar libm; the form
+    # min(x, 0) - log1p(exp(-|x|)) gives +0.0 where scipy gives -0.0
+    x = (_score_grid() if scale is None
+         else np.random.default_rng(5).normal(0.0, scale, 200_000))
+    x = np.resize(x, (-(-x.size // 997), 997))
+    _assert_within_4_ulp_of_scipy(_loss_cells(x), x)
+
+
+def test_loss_cells_at_infinite_scores_are_scipys():
+    x = np.array([[np.inf, -np.inf, np.inf], [-np.inf, np.inf, -np.inf]])
+    cells = _loss_cells(x, seed=3)
+    np.testing.assert_array_equal(cells, log_expit(x))
+    np.testing.assert_array_equal(np.signbit(cells), True)
+    assert cells[0, 0] == 0.0 and cells[0, 1] == -np.inf
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_loss_cells_are_bitwise_the_same_for_any_block_rows(monkeypatch, use_workers, workers):
+    x = np.resize(_score_grid(), (13, 4099))
+    want = _loss_cells(x)
+    use_workers(workers)
+    for rows in (1, 3, x.shape[0] + 1):
+        monkeypatch.setattr(hogrn.training, "BCE_ROWS", rows)
+        np.testing.assert_array_equal(_loss_cells(x), want)
 
 
 def test_infonce_identical_rows_is_m_log_m():
