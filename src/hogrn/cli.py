@@ -143,7 +143,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot", help="write a Graphviz file")
     p.add_argument("--json", dest="json_out", help="write path records as JSON")
 
-    p = sub.add_parser("selfcheck", help="finite-difference check of the gradient engine")
+    p = sub.add_parser("selfcheck", help="finite-difference check of the gradient engine, "
+                       "the loss cells and the rank oracle")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--coords", type=int, default=4, help="coordinates checked per parameter")
     p.add_argument("--fault-scale", type=float, dest="fault_scale", default=0.0,

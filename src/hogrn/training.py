@@ -126,11 +126,10 @@ def bce_loss(scores: Tensor, targets: np.ndarray) -> Tensor:
     with the same result for either. Each cell's cross-entropy is
     -log sigmoid(+-s): one `exp` and one `log1p` per cell forward (numpy's
     vector ufuncs, `_bce_cells`) and one `expit` per cell backward, with no
-    overflow at any finite score. Both passes are
-    element-wise over row halves, one per worker thread (`parallel`); only
-    the mean runs over the whole array, so every value is bitwise that of
-    one thread. The backward writes the gradient into the forward's spent
-    buffer.
+    overflow at any finite score. Both passes are element-wise over row
+    halves, one per worker thread (`parallel`); only the mean runs over the
+    whole array, so every value is bitwise that of one thread. The backward
+    writes the gradient into the forward's spent buffer.
     """
     positive = _positive_cells(scores.shape, targets)
     s = scores.data
