@@ -8,7 +8,7 @@ Subcommands:
 * eval: filtered ranking metrics for a checkpoint on valid or test
 * explain: attention-weighted paths behind one (source, target) pair
 * selfcheck: finite-difference gradient check of both heads, the loss cells against scipy,
-  and rank-oracle equivalence
+  and rank-oracle equivalence, of single rows and of `evaluate_split`'s blocks
 
 The DATA_DIR argument may be omitted when the HOGRN_DATA environment
 variable points at a dataset directory. Training options come from defaults,
@@ -29,6 +29,7 @@ from typing import get_type_hints
 import numpy as np
 from scipy.special import log_expit
 
+from . import parallel
 from .evaluation import DIRECTIONS, build_filter_index, evaluate_split, filtered_rank, oracle_rank
 from .explain import explain, to_dot, to_records
 from .kgdata import (_first_line_not_utf8, degree_report, export_dataset, extend_triples,
@@ -144,7 +145,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", dest="json_out", help="write path records as JSON")
 
     p = sub.add_parser("selfcheck", help="finite-difference check of the gradient engine, "
-                       "the loss cells and the rank oracle")
+                       "the loss cells and the rank oracle, block ranks included")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--coords", type=int, default=4, help="coordinates checked per parameter")
     p.add_argument("--fault-scale", type=float, dest="fault_scale", default=0.0,
@@ -287,6 +288,44 @@ def _rank_oracle_suite(seed: int, instances: int = 200) -> int:
     return mismatches
 
 
+def _block_rank_check(seed: int) -> bool:
+    """Rank one non-dyadic instance with planted near-ties through `evaluate_split`
+    on one worker and on this process's workers, and compare with `oracle_rank`.
+
+    Every third entity has an exact or last-bit twin, and the gold of each
+    tail query is one of a twin pair, so a rank decided on a GEMM score's last
+    bits can differ from the oracle's. Prints one summary line.
+    """
+    rng = substream(seed, "selfcheck-blocks")
+    n, dim, num_raw, num_triples = 60, 40, 2, 100
+    h = rng.normal(size=(n, dim))
+    for j in range(0, n - 1, 3):
+        h[j + 1] = h[j] * (1.0 + int(rng.integers(0, 4)) * 2.0 ** -52)
+    z = rng.normal(size=(2 * num_raw + 1, dim))
+    gold = np.minimum(rng.integers(0, n // 3, num_triples) * 3
+                      + rng.integers(0, 2, num_triples), n - 1)
+    triples = np.stack([rng.integers(0, n, num_triples), rng.integers(0, num_raw, num_triples),
+                        gold], axis=1)
+    queries = [q for s, r, t in triples.tolist() for q in ((s, r, t), (t, r + num_raw, s))]
+    counts = sorted({1, parallel.WORKERS})
+    mismatches = 0
+    for head in ("distmult", "transe"):
+        expect = [oracle_rank(head, h, z, s, r, t, np.empty(0, dtype=np.int64))
+                  for s, r, t in queries]
+        workers = parallel.WORKERS
+        try:
+            for count in counts:
+                parallel.WORKERS = count  # one worker needs no pool
+                ranks = evaluate_split(head, h, z, triples, {}, num_raw, keep_ranks=True).ranks
+                mismatches += int(np.count_nonzero(ranks != expect))
+        finally:
+            parallel.WORKERS = workers
+    print(f"block ranks: {'ok' if mismatches == 0 else 'FAILED'} ({mismatches} of "
+          f"{2 * len(counts) * len(queries)} ranks differ from the oracle; "
+          f"workers {', '.join(map(str, counts))})")
+    return mismatches == 0
+
+
 def _gradient_check(head: str, graph, queries, args) -> bool:
     """The finite-difference check of a small `head` model; prints one summary line."""
     model = TrainConfig(dim=5, num_layers=2, head=head, mask_ratio=0.0,
@@ -345,6 +384,7 @@ def _cmd_selfcheck(args) -> int:
     mismatches = _rank_oracle_suite(args.seed)
     print(f"rank oracle: {'ok' if mismatches == 0 else 'FAILED'} "
           f"({mismatches} mismatched instances)")
+    passed.append(_block_rank_check(args.seed))
     return 0 if all(passed) and mismatches == 0 else 2
 
 

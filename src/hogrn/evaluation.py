@@ -7,12 +7,16 @@ gold one, and ties share their rank (rank = 1 + #better + #ties / 2) so a
 constant scorer cannot look artificially good. `oracle_rank` re-derives a
 single rank with plain Python loops and is kept free of any code shared with
 the vectorized path; tests compare the two routes. `evaluate_split` scores
-and ranks whole blocks of queries on up to two threads (`parallel`), with
-every score and rank bitwise that of one thread.
+and ranks blocks of queries on up to two threads (`parallel`), and every
+rank it gives equals `oracle_rank`'s. A TransE score's bits do not depend on
+the block. A DistMult GEMM's do, so each rival within an error band of the
+gold score (`_distmult_band`) is re-scored with the gold in the oracle's
+order (`_ordered_scores`), and the block layout is free.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -24,8 +28,13 @@ DIRECTIONS = ("both", "tail")
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
-# score cells per evaluation block: 1 << 21 float64 scores are 16 MB
+# score cells per evaluation block: 1 << 21 float64 scores are 16 MB. The
+# 512-query DistMult pass at FB15K-237-10% shape (N = 11,512, d = 100, two
+# workers) took 25.1, 21.3, 21.3 and 25.3 ms (median of 58 alternated passes,
+# 2-core Xeon VM, one BLAS thread) at 1 << 19, 20, 21 and 22 cells: blocks of
+# 43, 86, 128 and 256 rows in each run of 256 queries
 BLOCK_CELLS = 1 << 21
+_UNIT = 2.0 ** -53  # unit roundoff of float64
 
 
 @dataclass
@@ -75,27 +84,100 @@ def build_filter_index(store: TripleStore, vocab: Vocabulary) -> dict[tuple[int,
     return dict(zip(zip(src.tolist(), rel.tolist()), answers))
 
 
-def _rank_block(scores: np.ndarray, gold: np.ndarray, known: list[np.ndarray]) -> np.ndarray:
+def _rank_block(scores: np.ndarray, gold: np.ndarray, known: list[np.ndarray],
+                band: np.ndarray | None = None, rescore=None) -> np.ndarray:
     """Filtered tie-averaged rank of `gold[i]` in each row `scores[i]`.
 
-    Rivals are counted over all N candidates, then the same counts over the
-    row's known answers other than its gold are subtracted, so every known
-    array must hold unique ids.
+    Without `band`, `>` and `==` are counted on the scores as given. With it,
+    a rival more than band[i] above or below the gold score of row i is
+    counted from the scores; the rivals within the band, and the gold, are
+    compared on `rescore(rows, ids)`, their values at (row, id) pairs. Each
+    row is counted over all N candidates as two 1-D compares, then the same
+    counts over the row's known answers other than its gold are subtracted,
+    so every known array must hold unique ids.
     """
     if gold.size and (gold.min() < 0 or gold.max() >= scores.shape[1]):
         raise IndexError(f"gold entity out of range: {gold.min()}..{gold.max()}")
-    rows = np.arange(gold.shape[0])
-    gold_score = scores[rows, gold]
-    greater = np.count_nonzero(scores > gold_score[:, None], axis=1)
-    ties = np.count_nonzero(scores == gold_score[:, None], axis=1) - 1
+    num_rows = gold.shape[0]
+    rows = np.arange(num_rows)
+    top = bottom = scores[rows, gold]
+    if band is not None:
+        # a float above fl(g + b) is above g + b, and one below fl(g - b) is below g - b
+        top, bottom = top + band, top - band
+    above = np.empty(num_rows, dtype=np.int64)
+    at_least = np.empty(num_rows, dtype=np.int64)
+    for i, row in enumerate(scores):
+        above[i] = np.count_nonzero(row > top[i])
+        at_least[i] = np.count_nonzero(row >= bottom[i])
     known_row = np.repeat(rows, [k.shape[0] for k in known])
     known_col = np.concatenate([_EMPTY, *known])
     rival = known_col != gold[known_row]
     known_row, known_col = known_row[rival], known_col[rival]
-    known_score, row_gold = scores[known_row, known_col], gold_score[known_row]
-    greater -= np.bincount(known_row[known_score > row_gold], minlength=rows.shape[0])
-    ties -= np.bincount(known_row[known_score == row_gold], minlength=rows.shape[0])
-    return 1.0 + greater + 0.5 * ties
+    known_score = scores[known_row, known_col]
+    above -= np.bincount(known_row[known_score > top[known_row]], minlength=num_rows)
+    at_least -= np.bincount(known_row[known_score >= bottom[known_row]], minlength=num_rows)
+    inside = at_least - above - 1  # unknown rivals within the band; the gold is in it
+    if rescore is None:
+        return 1.0 + above + 0.5 * inside
+    near = np.flatnonzero(inside)
+    ids = []
+    for i in near:
+        row = scores[i]
+        cand = np.flatnonzero((row >= bottom[i]) & (row <= top[i]))
+        ids.append(cand[(cand != gold[i]) & ~np.isin(cand, known[i])])
+    sizes = [c.shape[0] for c in ids]
+    values = rescore(np.concatenate([near, np.repeat(near, sizes)]),
+                     np.concatenate([gold[near], _EMPTY, *ids]))
+    pair_row = np.repeat(near, sizes)
+    pair_gold = np.repeat(values[:near.shape[0]], sizes)
+    pair_value = values[near.shape[0]:]
+    greater = np.bincount(pair_row[pair_value > pair_gold], minlength=num_rows)
+    ties = np.bincount(pair_row[pair_value == pair_gold], minlength=num_rows)
+    return 1.0 + above + greater + 0.5 * ties
+
+
+def _distmult_band(query: np.ndarray, gold_norm: np.ndarray, max_norm: float) -> np.ndarray:
+    """Per query row, a band b: a rival whose GEMM score is more than b above
+    (below) the gold's has an ordered re-score above (below) the gold's.
+
+    A d-term dot product summed in any order, with or without FMA, is within
+    gamma_d sum_k |q_k h_k| + d eta of the exact value (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2002, §3.1): gamma_d = d u / (1 - d u),
+    u = 2^-53, and eta = 2^-1074 covers products that underflow. A GEMM score
+    and an ordered re-score are both that close to the exact value, and
+    sum_k |q_k h_k| <= ||q|| ||h_j|| (Cauchy-Schwarz), so the gap between a
+    rival's score and the gold's moves by at most
+    2 gamma_d ||q|| (||h_j|| + ||h_g||) + 4 d eta, with ||h_j|| <= max_j ||h_j||.
+    A computed norm n of a d-vector bounds ||x|| <= (n + delta) / ((1 - u)
+    sqrt(1 - gamma_d)) with delta = d 2^-537 >= sqrt(d eta), for its rounded
+    squares, sum and root, so two computed norms in a product take a factor
+    of at most 1 + gamma_{2d+2}, and gamma_d (1 + gamma_{2d+2}) <= gamma_{3d+2}.
+    The band's own arithmetic rounds eight times: gamma_{3d+10} >=
+    gamma_{3d+2} (1 - u)^-8 covers those, and twice the absolute term covers
+    the last addition and a product that underflows.
+    """
+    dim = query.shape[1]
+    m = 3 * dim + 10
+    factor = 2.0 * m * _UNIT / (1.0 - m * _UNIT)
+    delta = dim * 2.0 ** -537
+    query_norm = np.sqrt(np.einsum("ij,ij->i", query, query))
+    return (factor * (query_norm + delta) * (max_norm + gold_norm + 2.0 * delta)
+            + dim * 2.0 ** -1071)
+
+
+def _ordered_scores(query: np.ndarray, h: np.ndarray, rows: np.ndarray,
+                    ids: np.ndarray) -> np.ndarray:
+    """DistMult scores of the (query row, entity) pairs, summed in coordinate order.
+
+    Each product is formed as (h_s * z_r) * h_t and the sum starts from 0.0,
+    as `oracle_rank` forms them, so the values do not depend on the block,
+    the thread count or the BLAS build.
+    """
+    products = query[rows] * h[ids]
+    total = np.zeros(rows.shape[0])
+    for column in products.T:
+        total += column
+    return total
 
 
 def filtered_rank(scores: np.ndarray, gold: int, known: np.ndarray) -> float:
@@ -125,12 +207,15 @@ def evaluate_split(
     """Filtered MRR and Hits@k over a split, scored and ranked in blocks.
 
     Queries are taken in order, a triple's tail query before its head query,
-    and scored BLOCK_CELLS // N at a time as one (B, N) block. The blocks are
-    cut into parallel.WORKERS runs of whole blocks; each run scores its blocks
-    in order into one score buffer that this thread allocates, and ranks them
-    into its own slice of the ranks. A block has the same rows for any worker
-    count, so every score and rank is bitwise that of one thread. The answer
-    arrays of `filter_index` must hold unique ids, as `build_filter_index`'s do.
+    and cut into parallel.WORKERS runs of equal query count. Each run scores
+    its queries in equal blocks of at most BLOCK_CELLS // N rows, into one
+    (rows, N) buffer that this thread allocates, and ranks each block into its
+    own slice of the ranks. TransE ranks are plain counts on the `cdist`
+    scores, whose bits do not depend on the block. A DistMult GEMM's bits do,
+    so its near-ties are decided on ordered re-scores (`_distmult_band`,
+    `_ordered_scores`). Every rank thus equals `oracle_rank`'s, whatever the
+    block layout or worker count. The answer arrays of `filter_index` must
+    hold unique ids, as `build_filter_index`'s do.
     """
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
@@ -144,23 +229,36 @@ def evaluate_split(
         # interleave each tail query with its head query
         src, rel, gold = (np.column_stack(pair).ravel()
                           for pair in ((src, gold), (rel, rel + num_raw_relations), (gold, src)))
-    known = [filter_index.get(key, _EMPTY) for key in zip(src.tolist(), rel.tolist())]
     num_queries, num_entities = src.shape[0], h.shape[0]
+    # before the band reads a gold norm
+    if gold.min() < 0 or gold.max() >= num_entities:
+        raise IndexError(f"gold entity out of range: {gold.min()}..{gold.max()}")
+    known = [filter_index.get(key, _EMPTY) for key in zip(src.tolist(), rel.tolist())]
+    if head == "distmult":
+        norms = np.sqrt(np.einsum("ij,ij->i", h, h))
+        max_norm = norms.max()
     ranks = np.empty(num_queries, dtype=np.float64)
-    rows = max(1, BLOCK_CELLS // num_entities)
-    bounds = parallel.cuts(num_queries, rows, h.size)
-    # one score buffer per run, allocated on this thread, so that the pool
-    # thread allocates no (rows, N) block and a run faults its buffer in once
-    buffers = {lo: np.empty((min(rows, hi - lo), num_entities))
-               for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi}
+    max_rows = max(1, BLOCK_CELLS // num_entities)
+    bounds = parallel.cuts(num_queries, 1, h.size)
+    # equal blocks per run, and one score buffer per run allocated on this
+    # thread, so that the pool thread allocates no (rows, N) block
+    rows = {lo: -(-(hi - lo) // -(-(hi - lo) // max_rows))
+            for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi}
+    buffers = {lo: np.empty((step, num_entities)) for lo, step in rows.items()}
 
     def part(lo, hi):
-        buffer = buffers[lo]
-        for start in range(lo, hi, rows):
-            block = slice(start, min(start + rows, hi))
+        buffer, step = buffers[lo], rows[lo]
+        for start in range(lo, hi, step):
+            block = slice(start, min(start + step, hi))
             scores = score_all_tails(head, h, z, src[block], rel[block],
                                      out=buffer[:block.stop - start])
-            ranks[block] = _rank_block(scores, gold[block], known[block])
+            if head == "transe":
+                ranks[block] = _rank_block(scores, gold[block], known[block])
+                continue
+            query = h[src[block]] * z[rel[block]]
+            band = _distmult_band(query, norms[gold[block]], max_norm)
+            ranks[block] = _rank_block(scores, gold[block], known[block], band,
+                                       partial(_ordered_scores, query, h))
 
     parallel.run(part, bounds)
     return EvalReport(

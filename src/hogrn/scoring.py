@@ -18,8 +18,10 @@ TransE forward is cut into two row ranges and its backward into two
 dimension ranges, one per worker thread (`parallel`); inside a part of a
 split ranking pass the forward runs whole on that part's thread. Each row's
 distances and each dimension's sums keep their order, so scores and
-gradients are bitwise those of one thread. A DistMult GEMM is never cut:
-OpenBLAS rounds a row differently for different row counts.
+gradients are bitwise those of one thread. Training never cuts a DistMult
+GEMM: OpenBLAS rounds a row differently for different row counts. Ranking
+does cut its queries into blocks of any rows, and `evaluation` decides the
+near-ties that those bits could flip on re-scores in a fixed order.
 """
 from __future__ import annotations
 

@@ -6,7 +6,7 @@ from dataclasses import asdict, fields
 import numpy as np
 import pytest
 
-from hogrn import cli, scoring
+from hogrn import cli, evaluation, scoring
 from hogrn.cli import main, parse_config_file
 from hogrn.kgdata import load_dataset
 from hogrn.model import HoGRN
@@ -534,6 +534,27 @@ def test_selfcheck_checks_the_loss_cells_against_scipy(monkeypatch, capsys):
     assert main(["selfcheck", "--seed", "0", "--coords", "2"]) == 2
     assert re.search(r"^loss cells: FAILED \(max \d+ ulp over \d+ cells\)$",
                      capsys.readouterr().out, re.M)
+
+
+def test_selfcheck_checks_block_ranks_against_the_oracle(monkeypatch, capsys):
+    assert main(["selfcheck", "--seed", "0", "--coords", "2"]) == 0
+    assert re.search(r"^block ranks: ok \(0 of \d+ ranks differ from the oracle; workers 1",
+                     capsys.readouterr().out, re.M)
+
+    def zero_band(query, gold_norm, max_norm):
+        # near-ties decided on the GEMM's bits: only exact GEMM ties are re-scored
+        return np.zeros(query.shape[0])
+
+    def pairwise_rescore(query, h, rows, ids):
+        # numpy's pairwise row sum, not the oracle's coordinate order
+        return (query[rows] * h[ids]).sum(axis=1)
+
+    for name, mutant in (("_distmult_band", zero_band), ("_ordered_scores", pairwise_rescore)):
+        with monkeypatch.context() as patch:
+            patch.setattr(evaluation, name, mutant)
+            assert main(["selfcheck", "--seed", "0", "--coords", "2"]) == 2
+        assert re.search(r"^block ranks: FAILED \([1-9]\d* of \d+ ranks differ",
+                         capsys.readouterr().out, re.M), name
 
 
 def test_help_exits_zero(capsys):

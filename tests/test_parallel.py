@@ -345,8 +345,8 @@ def test_transe_scores_are_bitwise_the_same_on_two_workers_and_one_and_row_by_ro
 def test_split_loops_stay_bitwise_under_fast_thread_switching(monkeypatch, use_workers, six_graph):
     # three parts, more than the cores of a two-core machine, and a thread
     # switch every microsecond: a lost or doubled write would change a value
-    # (ranking: ten queries in five 2-row blocks, so each of its runs has two
-    # blocks or one)
+    # (ranking: ten queries in runs of 4, 3 and 3, each in blocks of 2 rows
+    # and fewer)
     monkeypatch.setattr(hogrn.entity_updater, "EDGE_BLOCK", 3)
     monkeypatch.setattr(scoring, "ENTITY_BLOCK", 2)
     rng = np.random.default_rng(6)
@@ -409,8 +409,9 @@ def test_fit_is_bitwise_the_same_on_two_workers_and_one(monkeypatch, use_workers
 @pytest.mark.parametrize("head", ["distmult", "transe"])
 def test_evaluate_split_ranks_are_bitwise_the_same_on_two_workers_and_one(
         monkeypatch, use_workers, head):
-    # N = 23 is not a multiple of 8; 7 rows per block cut 40 queries into five
-    # whole blocks and a 5-row one, split after the third block on two workers
+    # N = 23 is not a multiple of 8; two workers cut 40 queries into runs of
+    # 20, each in blocks of 7, 7 and 6 rows, and one worker into blocks of 7
+    # rows and a 5-row one, so no GEMM has the same rows on both sides
     rng = np.random.default_rng(14)
     num_entities, num_raw = 23, 3
     h, z = rng.normal(size=(num_entities, 6)), rng.normal(size=(2 * num_raw + 1, 6))
@@ -421,6 +422,7 @@ def test_evaluate_split_ranks_are_bitwise_the_same_on_two_workers_and_one(
     monkeypatch.setattr(evaluation, "BLOCK_CELLS", 7 * num_entities)
     use_workers(2)
     assert parallel.cuts(40, 7) == [0, 21, 40]
+    assert parallel.cuts(40) == [0, 20, 40]
     split = evaluate_split(head, h, z, triples, index, num_raw, keep_ranks=True)
     use_workers(1)
     whole = evaluate_split(head, h, z, triples, index, num_raw, keep_ranks=True)
