@@ -307,19 +307,19 @@ def _block_rank_check(seed: int) -> bool:
     triples = np.stack([rng.integers(0, n, num_triples), rng.integers(0, num_raw, num_triples),
                         gold], axis=1)
     queries = [q for s, r, t in triples.tolist() for q in ((s, r, t), (t, r + num_raw, s))]
-    counts = sorted({1, parallel.WORKERS})
+    workers = parallel.WORKERS
+    counts = sorted({1, workers})
     mismatches = 0
-    for head in ("distmult", "transe"):
-        expect = [oracle_rank(head, h, z, s, r, t, np.empty(0, dtype=np.int64))
-                  for s, r, t in queries]
-        workers = parallel.WORKERS
-        try:
+    try:
+        for head in ("distmult", "transe"):
+            expect = [oracle_rank(head, h, z, s, r, t, np.empty(0, dtype=np.int64))
+                      for s, r, t in queries]
             for count in counts:
                 parallel.WORKERS = count  # one worker needs no pool
                 ranks = evaluate_split(head, h, z, triples, {}, num_raw, keep_ranks=True).ranks
                 mismatches += int(np.count_nonzero(ranks != expect))
-        finally:
-            parallel.WORKERS = workers
+    finally:
+        parallel.WORKERS = workers
     print(f"block ranks: {'ok' if mismatches == 0 else 'FAILED'} ({mismatches} of "
           f"{2 * len(counts) * len(queries)} ranks differ from the oracle; "
           f"workers {', '.join(map(str, counts))})")

@@ -240,14 +240,17 @@ def evaluate_split(
     ranks = np.empty(num_queries, dtype=np.float64)
     max_rows = max(1, BLOCK_CELLS // num_entities)
     bounds = parallel.cuts(num_queries, 1, h.size)
-    # equal blocks per run, and one score buffer per run allocated on this
-    # thread, so that the pool thread allocates no (rows, N) block
-    rows = {lo: -(-(hi - lo) // -(-(hi - lo) // max_rows))
-            for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi}
-    buffers = {lo: np.empty((step, num_entities)) for lo, step in rows.items()}
+    # one score buffer per run, as many rows as its equal blocks, allocated on
+    # this thread so that the pool thread allocates no (rows, N) block
+    buffers = {}
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if lo < hi:
+            blocks = -(-(hi - lo) // max_rows)
+            buffers[lo] = np.empty((-(-(hi - lo) // blocks), num_entities))
 
     def part(lo, hi):
-        buffer, step = buffers[lo], rows[lo]
+        buffer = buffers[lo]
+        step = buffer.shape[0]
         for start in range(lo, hi, step):
             block = slice(start, min(start + step, hi))
             scores = score_all_tails(head, h, z, src[block], rel[block],

@@ -411,7 +411,7 @@ def test_evaluate_split_ranks_are_bitwise_the_same_on_two_workers_and_one(
         monkeypatch, use_workers, head):
     # N = 23 is not a multiple of 8; two workers cut 40 queries into runs of
     # 20, each in blocks of 7, 7 and 6 rows, and one worker into blocks of 7
-    # rows and a 5-row one, so no GEMM has the same rows on both sides
+    # rows and a 5-row one, so the blocks from query 14 on differ
     rng = np.random.default_rng(14)
     num_entities, num_raw = 23, 3
     h, z = rng.normal(size=(num_entities, 6)), rng.normal(size=(2 * num_raw + 1, 6))
