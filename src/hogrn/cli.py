@@ -8,7 +8,8 @@ Subcommands:
 * eval: filtered ranking metrics for a checkpoint on valid or test
 * explain: attention-weighted paths behind one (source, target) pair
 * selfcheck: finite-difference gradient check of both heads, the loss cells against scipy,
-  and rank-oracle equivalence, of single rows and of `evaluate_split`'s blocks
+  the row order of the sparse kernel behind aggregation's scatters, and rank-oracle
+  equivalence, of single rows and of `evaluate_split`'s blocks
 
 The DATA_DIR argument may be omitted when the HOGRN_DATA environment
 variable points at a dataset directory. Training options come from defaults,
@@ -27,10 +28,13 @@ from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
+from scipy.sparse import csr_array
 from scipy.special import log_expit
 
 from . import parallel
-from .evaluation import DIRECTIONS, build_filter_index, evaluate_split, filtered_rank, oracle_rank
+from .entity_updater import add_product
+from .evaluation import (DIRECTIONS, FilterIndex, build_filter_index, evaluate_split,
+                         filtered_rank, oracle_rank)
 from .explain import explain, to_dot, to_records
 from .kgdata import (_first_line_not_utf8, degree_report, export_dataset, extend_triples,
                      load_dataset, sparsify_subset, unseen_in_train_warning)
@@ -307,16 +311,18 @@ def _block_rank_check(seed: int) -> bool:
     triples = np.stack([rng.integers(0, n, num_triples), rng.integers(0, num_raw, num_triples),
                         gold], axis=1)
     queries = [q for s, r, t in triples.tolist() for q in ((s, r, t), (t, r + num_raw, s))]
+    none = np.empty(0, dtype=np.int64)
+    no_answers = FilterIndex(none, none, none, num_raw)
     workers = parallel.WORKERS
     counts = sorted({1, workers})
     mismatches = 0
     try:
         for head in ("distmult", "transe"):
-            expect = [oracle_rank(head, h, z, s, r, t, np.empty(0, dtype=np.int64))
-                      for s, r, t in queries]
+            expect = [oracle_rank(head, h, z, s, r, t, none) for s, r, t in queries]
             for count in counts:
                 parallel.WORKERS = count  # one worker needs no pool
-                ranks = evaluate_split(head, h, z, triples, {}, num_raw, keep_ranks=True).ranks
+                ranks = evaluate_split(head, h, z, triples, no_answers, num_raw,
+                                       keep_ranks=True).ranks
                 mismatches += int(np.count_nonzero(ranks != expect))
     finally:
         parallel.WORKERS = workers
@@ -370,6 +376,26 @@ def _loss_cell_check() -> bool:
     return passed
 
 
+def _row_sum_check() -> bool:
+    """Check that `add_product` continues a row's sum in column order.
+
+    Its bitwise contract rests on the row order of scipy's private CSR
+    kernel, so this runs on the scipy this machine has. One row of 1, 1e16
+    and -1e16 is scattered in two products, cut after the first column: in
+    column order 1 + 1e16 rounds to 1e16 and the sum is 0, while a fresh
+    second product reassociates it to 1 + (1e16 - 1e16) = 1. Prints one
+    summary line.
+    """
+    values = np.array([[1.0], [1e16], [-1e16]])
+    out = np.zeros((1, 1))
+    add_product(out, csr_array(np.ones((1, 1))), values[:1])
+    add_product(out, csr_array(np.ones((1, 2))), values[1:])
+    passed = out[0, 0] == 0.0
+    print(f"row sums: {'ok' if passed else 'FAILED'} (1 + 1e16 - 1e16 in two scatters "
+          f"gave {float(out[0, 0])!r}, in column order 0.0)")
+    return passed
+
+
 def _cmd_selfcheck(args) -> int:
     if args.coords < 1:
         raise UsageError(f"--coords must be positive, got {args.coords}")
@@ -380,6 +406,7 @@ def _cmd_selfcheck(args) -> int:
     if args.fault_scale:
         print("fault injection active: a failure above confirms the checker catches bad gradients")
     passed.append(_loss_cell_check())
+    passed.append(_row_sum_check())
 
     mismatches = _rank_oracle_suite(args.seed)
     print(f"rank oracle: {'ok' if mismatches == 0 else 'FAILED'} "

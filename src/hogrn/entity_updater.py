@@ -30,7 +30,15 @@ row ranges.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import _sparsetools
+import scipy
+
+try:
+    from scipy.sparse._sparsetools import csr_matvecs
+except ImportError as err:  # a private module: scipy may move or drop it
+    raise ImportError(
+        f"hogrn needs scipy.sparse._sparsetools.csr_matvecs, which scipy {scipy.__version__} "
+        "does not provide; add_product's row-order contract was checked on scipy 1.17.1"
+    ) from err
 
 from . import parallel, workspace
 from .autodiff import Tensor, _checked
@@ -51,6 +59,8 @@ def add_product(out: np.ndarray, matrix, operand: np.ndarray) -> None:
     ((0 + x1) + x2) gets + x3, and so on, in the matrix row's column order.
     Adding a fresh product instead would reassociate the sum. `out` must be a
     C-contiguous float64 array, since the kernel writes through its flat view.
+    The kernel is private to scipy; `hogrn selfcheck` checks its row order on
+    the scipy installed.
     """
     num_rows, num_cols = matrix.shape
     if out.dtype != np.float64 or not out.flags.c_contiguous:
@@ -59,8 +69,8 @@ def add_product(out: np.ndarray, matrix, operand: np.ndarray) -> None:
         raise ValueError(f"add_product shapes do not chain: {matrix.shape} @ {operand.shape} "
                          f"into {out.shape}")
     operand = np.ascontiguousarray(operand, dtype=np.float64)
-    _sparsetools.csr_matvecs(num_rows, num_cols, out.shape[1], matrix.indptr, matrix.indices,
-                             matrix.data, operand.ravel(), out.ravel())
+    csr_matvecs(num_rows, num_cols, out.shape[1], matrix.indptr, matrix.indices, matrix.data,
+                operand.ravel(), out.ravel())
 
 
 def _over_edge_blocks(graph: ExtendedGraph, lo: int, hi: int, dim: int, body) -> None:

@@ -178,10 +178,11 @@ def export_dataset(directory, store: TripleStore, vocab: Vocabulary):
 
 
 def group_answers(src: np.ndarray, rel: np.ndarray, ans: np.ndarray):
-    """Distinct (source, relation) pairs with the sorted, unique answers of each.
+    """Distinct (source, relation) pairs with the sorted, unique answers of each, as CSR.
 
-    Returns the pairs' sources and relations in lexicographic order, and a
-    list holding each pair's answers as one int array.
+    Returns the pairs' sources and relations in lexicographic order, P + 1
+    starts and one flat answer array: pair p's answers are
+    answers[starts[p]:starts[p + 1]], sorted and unique.
     """
     order = np.lexsort((ans, rel, src))
     src, rel, ans = src[order], rel[order], ans[order]
@@ -190,11 +191,8 @@ def group_answers(src: np.ndarray, rel: np.ndarray, ans: np.ndarray):
     distinct = new_pair.copy()
     distinct[1:] |= ans[1:] != ans[:-1]
     src, rel, ans, new_pair = src[distinct], rel[distinct], ans[distinct], new_pair[distinct]
-    starts = np.flatnonzero(new_pair)
-    ends = np.append(starts[1:], ans.shape[0])
-    # plain slices: np.split costs about four times as much per group
-    answers = [ans[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
-    return src[starts], rel[starts], answers
+    firsts = np.flatnonzero(new_pair)
+    return src[firsts], rel[firsts], np.append(firsts, ans.shape[0]), ans
 
 
 def _out_edge_order(src: np.ndarray, rel: np.ndarray, tgt: np.ndarray,

@@ -115,7 +115,9 @@ class QuerySet:
 
 
 def build_queries(graph: ExtendedGraph) -> QuerySet:
-    src, rel, tails = group_answers(graph.edge_src, graph.edge_rel, graph.edge_tgt)
+    src, rel, starts, answers = group_answers(graph.edge_src, graph.edge_rel, graph.edge_tgt)
+    # plain slices: np.split costs about four times as much per group
+    tails = [answers[a:b] for a, b in zip(starts[:-1].tolist(), starts[1:].tolist())]
     return QuerySet(src=src, rel=rel, tails=tails, num_entities=graph.num_entities)
 
 

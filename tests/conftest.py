@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hogrn import parallel
+from hogrn.evaluation import FilterIndex
 from hogrn.kgdata import ExtendedGraph, TripleStore, Vocabulary
 
 
@@ -17,6 +18,13 @@ def make_store(train, valid=(), test=()):
         return np.asarray(ids, dtype=np.int64).reshape(-1, 3)
 
     return TripleStore(to_ids(train), to_ids(valid), to_ids(test)), vocab
+
+
+def index_of(known, num_raw):
+    """A FilterIndex of the answers that the dict `known` gives each (src, rel) pair."""
+    rows = [(s, r, t) for (s, r), answers in known.items() for t in np.asarray(answers).tolist()]
+    src, rel, answers = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+    return FilterIndex(src, rel, answers, num_raw)
 
 
 def edge_id(graph, src, rel, tgt):

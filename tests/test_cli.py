@@ -557,6 +557,21 @@ def test_selfcheck_checks_block_ranks_against_the_oracle(monkeypatch, capsys):
                          capsys.readouterr().out, re.M), name
 
 
+def test_selfcheck_checks_the_row_order_of_the_sparse_scatter(monkeypatch, capsys):
+    assert main(["selfcheck", "--seed", "0", "--coords", "2"]) == 0
+    assert re.search(r"^row sums: ok \(1 \+ 1e16 - 1e16 in two scatters gave 0\.0,",
+                     capsys.readouterr().out, re.M)
+
+    def fresh_product(out, matrix, operand):
+        # adds a fresh product: 1 + (1e16 - 1e16) = 1 instead of the column-order 0
+        out += matrix @ operand
+
+    monkeypatch.setattr(cli, "add_product", fresh_product)
+    assert main(["selfcheck", "--seed", "0", "--coords", "2"]) == 2
+    assert re.search(r"^row sums: FAILED \(1 \+ 1e16 - 1e16 in two scatters gave 1\.0,",
+                     capsys.readouterr().out, re.M)
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out

@@ -1,8 +1,11 @@
+import importlib
 import math
+import sys
+import types
 
 import numpy as np
 import pytest
-
+import scipy
 from scipy.sparse import csr_array
 
 import hogrn.entity_updater
@@ -299,6 +302,22 @@ def test_add_product_continues_each_row_sum_in_place():
     assert out[0, 0] == 0.0
     fresh = csr_array(np.ones((1, 1))) @ values[:1] + csr_array(np.ones((1, 2))) @ values[1:]
     assert fresh[0, 0] == 1.0
+
+
+def test_a_scipy_without_the_private_kernel_fails_the_import_with_its_version(monkeypatch):
+    # add_product's row-order contract rests on scipy's private csr_matvecs
+    module = hogrn.entity_updater
+    try:
+        with monkeypatch.context() as patch:
+            patch.setitem(sys.modules, "scipy.sparse._sparsetools",
+                          types.ModuleType("scipy.sparse._sparsetools"))
+            with pytest.raises(ImportError) as err:
+                importlib.reload(module)
+        assert f"scipy {scipy.__version__}" in str(err.value)
+        assert "1.17.1" in str(err.value)
+    finally:
+        importlib.reload(module)
+    assert module.add_product is not None
 
 
 @pytest.mark.parametrize("out", [

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from hogrn import evaluation
 from hogrn.evaluation import (
     EvalReport,
+    FilterIndex,
     build_filter_index,
     constant_baseline_mrr,
     evaluate_split,
@@ -11,11 +14,11 @@ from hogrn.evaluation import (
     num_candidates,
     oracle_rank,
 )
-from hogrn.kgdata import TripleStore
+from hogrn.kgdata import TripleStore, Vocabulary
 from hogrn.scoring import score_all_tails
 from hogrn.synthetic import rule_composition_kg
 
-from conftest import make_store
+from conftest import index_of, make_store
 
 EMPTY = np.empty(0, dtype=np.int64)
 
@@ -103,6 +106,93 @@ def test_build_filter_index_of_empty_splits_is_empty():
     assert build_filter_index(store, vocab) == {}
 
 
+def test_filter_index_get_misses_absent_pairs_and_relations_outside_the_key_width():
+    # two raw relations, so keys are src * 4 + rel: (0, 4) and (1, -1) would
+    # pack into the keys of (1, 0) and (0, 3)
+    index = FilterIndex(np.array([0, 1, 1]), np.array([3, 0, 0]), np.array([5, 7, 2]), 2)
+    np.testing.assert_array_equal(index[(0, 3)], [5])
+    np.testing.assert_array_equal(index.get((1, 0)), [2, 7])
+    for absent in ((0, 0), (2, 0), (0, 4), (1, -1), (-1, 3), (0, 7)):
+        assert index.get(absent, "none") == "none", absent
+        assert absent not in index
+    with pytest.raises(KeyError):
+        index[(0, 4)]
+    assert list(index) == [(0, 3), (1, 0)] and len(index) == 2
+    starts, ends = index.spans(np.array([0, 0, 1, 2, 1]), np.array([3, 4, 0, 0, -1]))
+    np.testing.assert_array_equal(ends - starts, [1, 0, 2, 0, 0])
+    assert not index.answers.flags.writeable and not index[(1, 0)].flags.writeable
+
+
+def test_filter_index_refuses_ids_out_of_range():
+    for src, rel, answer in (([0], [4], [1]), ([0], [-1], [1]), ([-1], [0], [1]),
+                             ([0], [0], [-1])):
+        with pytest.raises(ValueError, match="out of range"):
+            FilterIndex(np.array(src), np.array(rel), np.array(answer), 2)
+    with pytest.raises(ValueError, match="equal 1-D"):
+        FilterIndex(np.array([0, 1]), np.array([0]), np.array([1]), 2)
+
+
+def test_filter_index_spans_equal_get_on_every_query_of_a_split():
+    store, vocab = rule_composition_kg(num_entities=120, branching=3, seed=5)
+    index = build_filter_index(store, vocab)
+    m = vocab.num_relations
+    src, rel, gold = store.valid.T
+    queries = (np.concatenate([src, gold]), np.concatenate([rel, rel + m]))
+    starts, ends = index.spans(*queries)
+    assert np.all(ends > starts)  # every valid fact is a known answer of its query
+    for s, r, a, b in zip(*(q.tolist() for q in queries), starts.tolist(), ends.tolist()):
+        np.testing.assert_array_equal(index.answers[a:b], index.get((s, r)))
+
+
+def test_evaluate_split_refuses_an_index_for_another_relation_count():
+    h, z = np.ones((3, 2)), np.ones((7, 2))
+    index = index_of({(0, 1): [2]}, 2)
+    with pytest.raises(ValueError, match="built for 2 raw relations, split ranked with 3"):
+        evaluate_split("distmult", h, z, np.array([[0, 1, 2]]), index, 3)
+    with pytest.raises(TypeError, match="FilterIndex"):
+        evaluate_split("distmult", h, z, np.array([[0, 1, 2]]), {(0, 1): np.array([2])}, 2)
+
+
+def test_empty_filter_index_holds_nothing():
+    store, vocab = make_store(train=[], valid=[], test=[])
+    vocab.add_entity("a"), vocab.add_entity("b"), vocab.add_relation("r")
+    index = build_filter_index(store, vocab)
+    assert index == {} and len(index) == 0 and list(index) == []
+    assert index.get((0, 0)) is None
+    starts, ends = index.spans(np.array([0, 1]), np.array([0, 1]))
+    np.testing.assert_array_equal(ends - starts, [0, 0])
+    report = evaluate_split("distmult", np.eye(2), np.ones((3, 2)), np.array([[0, 0, 1]]),
+                            index, 1, keep_ranks=True)
+    np.testing.assert_array_equal(report.ranks, [2.0, 2.0])  # no rival filtered
+
+
+def test_build_filter_index_keeps_few_bytes_per_pair():
+    # 20,000 distinct random facts over 3,000 entities and 10 relations give
+    # 29,244 (source, relation) pairs. The flat index keeps 27.0 B per pair; a
+    # dict of one answer array per pair kept 252.5 B
+    rng = np.random.default_rng(8)
+    num_entities, num_raw = 3_000, 10
+    facts = np.unique(np.stack([rng.integers(0, num_entities, 24_000),
+                                rng.integers(0, num_raw, 24_000),
+                                rng.integers(0, num_entities, 24_000)], axis=1), axis=0)
+    facts = facts[rng.permutation(facts.shape[0])[:20_000]]
+    store = TripleStore(facts[:16_000], facts[16_000:18_000], facts[18_000:])
+    vocab = Vocabulary()
+    for e in range(num_entities):
+        vocab.add_entity(f"e{e}")
+    for r in range(num_raw):
+        vocab.add_relation(f"r{r}")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        index = build_filter_index(store, vocab)
+        live = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(index) > 25_000
+    assert live / len(index) < 64, f"{live / len(index):.1f} B per pair"
+
+
 def test_block_ranks_match_oracle_on_dyadic_states(monkeypatch):
     rng = np.random.default_rng(3)
     for i in range(12):
@@ -115,7 +205,7 @@ def test_block_ranks_match_oracle_on_dyadic_states(monkeypatch):
             h[:] = h[0]  # every candidate ties under both heads
         triples = np.stack([rng.integers(0, n, 7), rng.integers(0, num_raw, 7),
                             rng.integers(0, n, 7)], axis=1)
-        index = {}
+        known_by_pair = {}
         for s, r, t in triples.tolist():
             for key, gold in (((s, r), t), ((t, r + num_raw), s)):
                 if rng.integers(3) == 0:
@@ -126,7 +216,8 @@ def test_block_ranks_match_oracle_on_dyadic_states(monkeypatch):
                     known = np.sort(rng.choice(n, size=int(rng.integers(1, n)), replace=False))
                     if rng.integers(2):
                         known = np.union1d(known, [gold])
-                index[key] = known
+                known_by_pair[key] = known
+        index = index_of(known_by_pair, num_raw)
         # 3 rows per block: blocks end mid-split and between a triple's two queries
         monkeypatch.setattr(evaluation, "BLOCK_CELLS", 3 * n)
         for head in ("transe", "distmult"):
@@ -161,8 +252,8 @@ def test_ranks_equal_the_oracle_for_any_block_rows_and_worker_count(
     triples = np.stack([rng.integers(0, n, 100), rng.integers(0, num_raw, 100),
                         rng.integers(0, n, 100)], axis=1)
     triples[:, 2] = np.minimum(triples[:, 2] // 3 * 3 + rng.integers(0, 2, 100), n - 1)
-    index = {(int(s), int(r)): np.sort(rng.choice(n, size=5, replace=False))
-             for s, r, _ in triples[::3]}
+    index = index_of({(int(s), int(r)): np.sort(rng.choice(n, size=5, replace=False))
+                      for s, r, _ in triples[::3]}, num_raw)
     queries = [q for s, r, t in triples.tolist() for q in ((s, r, t), (t, r + num_raw, s))]
     expect = [oracle_rank(head, h, z, s, r, t, index.get((s, r), EMPTY)) for s, r, t in queries]
     for workers in (1, 2):
@@ -180,7 +271,7 @@ def test_evaluate_split_rejects_out_of_range_ids():
     h, z = np.ones((3, 2)), np.ones((3, 2))
     for bad in ([0, 0, 3], [0, 0, -1], [3, 0, 0]):
         with pytest.raises(IndexError, match="entity"):
-            evaluate_split("distmult", h, z, np.array([bad]), {}, 1, "tail")
+            evaluate_split("distmult", h, z, np.array([bad]), index_of({}, 1), 1, "tail")
 
 
 def ranks_124_setup():
@@ -194,7 +285,7 @@ def ranks_124_setup():
 
 def test_mrr_and_hits_from_known_ranks():
     h, z, triples = ranks_124_setup()
-    report = evaluate_split("distmult", h, z, triples, {}, num_raw_relations=1,
+    report = evaluate_split("distmult", h, z, triples, index_of({}, 1), num_raw_relations=1,
                             direction="tail", keep_ranks=True)
     np.testing.assert_array_equal(report.ranks, [1.0, 2.0, 4.0])
     assert report.mrr == pytest.approx((1.0 + 0.5 + 0.25) / 3.0, abs=1e-12)
@@ -211,7 +302,7 @@ def test_hits_are_monotone_and_mrr_bounded():
     z = rng.normal(size=(5, 4))
     triples = np.stack([rng.integers(0, 12, 20), rng.integers(0, 2, 20),
                         rng.integers(0, 12, 20)], axis=1)
-    report = evaluate_split("distmult", h, z, triples, {}, num_raw_relations=2)
+    report = evaluate_split("distmult", h, z, triples, index_of({}, 2), num_raw_relations=2)
     assert report.hits1 <= report.hits3 <= report.hits10
     assert 0.0 < report.mrr <= 1.0
     assert report.num_queries == 40  # both directions
@@ -235,16 +326,16 @@ def test_constant_scorer_equals_analytic_baseline():
 def test_empty_split_raises():
     with pytest.raises(ValueError, match="empty split"):
         evaluate_split("distmult", np.ones((2, 2)), np.ones((3, 2)),
-                       np.empty((0, 3), dtype=np.int64), {}, 1)
+                       np.empty((0, 3), dtype=np.int64), index_of({}, 1), 1)
 
 
 def test_direction_validation():
     with pytest.raises(ValueError, match="direction"):
         evaluate_split("distmult", np.ones((2, 2)), np.ones((3, 2)),
-                       np.array([[0, 0, 1]]), {}, 1, direction="head")
+                       np.array([[0, 0, 1]]), index_of({}, 1), 1, direction="head")
     with pytest.raises(ValueError, match="score head"):
         evaluate_split("complex", np.ones((2, 2)), np.ones((3, 2)),
-                       np.array([[0, 0, 1]]), {}, 1)
+                       np.array([[0, 0, 1]]), index_of({}, 1), 1)
 
 
 def test_report_lines_scale_by_one_hundred():

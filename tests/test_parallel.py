@@ -26,6 +26,8 @@ from hogrn.optim import Adam, ParameterStore
 from hogrn.synthetic import rule_composition_kg
 from hogrn.training import TrainConfig, bce_loss, fit
 
+from conftest import index_of
+
 # blocks of 7 put the cut of six_graph's 22 edges at edge 14, inside the
 # inverse section (edges 8 to 15)
 SMALL_EDGE_BLOCK = 7
@@ -360,7 +362,7 @@ def test_split_loops_stay_bitwise_under_fast_thread_switching(monkeypatch, use_w
 
     def results():
         params, moments = _adam_results(steps=2)
-        ranks = [evaluate_split(head, h0, z0, triples, {}, 3, keep_ranks=True).ranks
+        ranks = [evaluate_split(head, h0, z0, triples, index_of({}, 3), 3, keep_ranks=True).ranks
                  for head in ("distmult", "transe")]
         return (_aggregate_results(six_graph, h0, z0, c), scoring._l1_adjoints(g, query, h),
                 _bce_results(s, targets), scoring.score_all_tails("transe", h0, z0, [0, 5, 2], [6, 1, 3]),
@@ -417,11 +419,11 @@ def test_evaluate_split_ranks_are_bitwise_the_same_on_two_workers_and_one(
     h, z = rng.normal(size=(num_entities, 6)), rng.normal(size=(2 * num_raw + 1, 6))
     triples = np.stack([rng.integers(0, num_entities, 20), rng.integers(0, num_raw, 20),
                         rng.integers(0, num_entities, 20)], axis=1)
-    index = {(int(s), int(r)): np.sort(rng.choice(num_entities, size=4, replace=False))
-             for s, r, _ in triples[::2]}
+    index = index_of({(int(s), int(r)): np.sort(rng.choice(num_entities, size=4, replace=False))
+                      for s, r, _ in triples[::2]}, num_raw)
     monkeypatch.setattr(evaluation, "BLOCK_CELLS", 7 * num_entities)
     use_workers(2)
-    assert parallel.cuts(40, 7) == [0, 21, 40]
+    assert parallel.cuts(40, 1, h.size) == [0, 20, 40]
     assert parallel.cuts(40) == [0, 20, 40]
     split = evaluate_split(head, h, z, triples, index, num_raw, keep_ranks=True)
     use_workers(1)
