@@ -7,7 +7,8 @@ engine with finite-difference verification built in.
 """
 
 from .autodiff import Tensor
-from .evaluation import EvalReport, build_filter_index, evaluate_split, filtered_rank, oracle_rank
+from .evaluation import (EvalReport, FilterIndex, build_filter_index, evaluate_split, filtered_rank,
+                         oracle_rank)
 from .explain import ExplainedPath, enumerate_paths, explain, normalize_attentions, to_dot, to_records
 from .kgdata import (
     DegreeReport,
@@ -51,6 +52,7 @@ __all__ = [
     "EvalReport",
     "ExplainedPath",
     "ExtendedGraph",
+    "FilterIndex",
     "GradCheckReport",
     "HoGRN",
     "ParameterStore",

@@ -2,7 +2,8 @@
 
 Every (s, r, t) test triple becomes a tail query, and in the default "both"
 mode also a head query phrased through the inverse relation id r + M. Known
-true answers from any split are removed from the candidate set except the
+true answers from any split (a `FilterIndex`: packed pair keys, CSR starts
+and one flat answer array) are removed from the candidate set except the
 gold one, and ties share their rank (rank = 1 + #better + #ties / 2) so a
 constant scorer cannot look artificially good. `oracle_rank` re-derives a
 single rank with plain Python loops and is kept free of any code shared with
@@ -335,13 +336,14 @@ def evaluate_split(
             block = slice(start, min(start + step, hi))
             scores = score_all_tails(head, h, z, src[block], rel[block],
                                      out=buffer[:block.stop - start])
-            spans = gold[block], starts[block], ends[block], answers
+            known = starts[block], ends[block], answers
             if head == "transe":
-                ranks[block] = _rank_block(scores, *spans)
+                ranks[block] = _rank_block(scores, gold[block], *known)
                 continue
             query = h[src[block]] * z[rel[block]]
             band = _distmult_band(query, np.sqrt(squares[gold[block]]), max_norm)
-            ranks[block] = _rank_block(scores, *spans, band, partial(_ordered_scores, query, h))
+            ranks[block] = _rank_block(scores, gold[block], *known, band,
+                                       partial(_ordered_scores, query, h))
 
     parallel.run(part, bounds)
     return EvalReport(

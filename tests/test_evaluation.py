@@ -104,6 +104,16 @@ def test_build_filter_index_equals_a_set_based_rebuild():
 def test_build_filter_index_of_empty_splits_is_empty():
     store, vocab = make_store(train=[])
     assert build_filter_index(store, vocab) == {}
+    # an index over entities and a relation, with no fact to hold
+    vocab.add_entity("a"), vocab.add_entity("b"), vocab.add_relation("r")
+    index = build_filter_index(store, vocab)
+    assert index == {} and len(index) == 0 and list(index) == []
+    assert index.get((0, 0)) is None
+    starts, ends = index.spans(np.array([0, 1]), np.array([0, 1]))
+    np.testing.assert_array_equal(ends - starts, [0, 0])
+    report = evaluate_split("distmult", np.eye(2), np.ones((3, 2)), np.array([[0, 0, 1]]),
+                            index, 1, keep_ranks=True)
+    np.testing.assert_array_equal(report.ranks, [2.0, 2.0])  # no rival filtered
 
 
 def test_filter_index_get_misses_absent_pairs_and_relations_outside_the_key_width():
@@ -151,19 +161,6 @@ def test_evaluate_split_refuses_an_index_for_another_relation_count():
         evaluate_split("distmult", h, z, np.array([[0, 1, 2]]), index, 3)
     with pytest.raises(TypeError, match="FilterIndex"):
         evaluate_split("distmult", h, z, np.array([[0, 1, 2]]), {(0, 1): np.array([2])}, 2)
-
-
-def test_empty_filter_index_holds_nothing():
-    store, vocab = make_store(train=[], valid=[], test=[])
-    vocab.add_entity("a"), vocab.add_entity("b"), vocab.add_relation("r")
-    index = build_filter_index(store, vocab)
-    assert index == {} and len(index) == 0 and list(index) == []
-    assert index.get((0, 0)) is None
-    starts, ends = index.spans(np.array([0, 1]), np.array([0, 1]))
-    np.testing.assert_array_equal(ends - starts, [0, 0])
-    report = evaluate_split("distmult", np.eye(2), np.ones((3, 2)), np.array([[0, 0, 1]]),
-                            index, 1, keep_ranks=True)
-    np.testing.assert_array_equal(report.ranks, [2.0, 2.0])  # no rival filtered
 
 
 def test_build_filter_index_keeps_few_bytes_per_pair():
