@@ -317,7 +317,6 @@ def test_a_scipy_without_the_private_kernel_fails_the_import_with_its_version(mo
         assert "1.17.1" in str(err.value)
     finally:
         importlib.reload(module)
-    assert module.add_product is not None
 
 
 @pytest.mark.parametrize("out", [
