@@ -34,7 +34,7 @@ from scipy.special import log_expit
 from . import parallel
 from .entity_updater import add_product
 from .evaluation import (DIRECTIONS, FilterIndex, build_filter_index, evaluate_split,
-                         filtered_rank, oracle_rank)
+                         filtered_rank, oracle_rank, split_queries)
 from .explain import explain, to_dot, to_records
 from .kgdata import (_first_line_not_utf8, degree_report, export_dataset, extend_triples,
                      load_dataset, sparsify_subset, unseen_in_train_warning)
@@ -310,9 +310,10 @@ def _block_rank_check(seed: int) -> bool:
                       + rng.integers(0, 2, num_triples), n - 1)
     triples = np.stack([rng.integers(0, n, num_triples), rng.integers(0, num_raw, num_triples),
                         gold], axis=1)
-    queries = [q for s, r, t in triples.tolist() for q in ((s, r, t), (t, r + num_raw, s))]
     none = np.empty(0, dtype=np.int64)
     no_answers = FilterIndex(none, none, none, num_raw)
+    src, rel, gold, _, _ = split_queries(triples, no_answers, n, num_raw, "both")
+    queries = list(zip(src.tolist(), rel.tolist(), gold.tolist()))
     workers = parallel.WORKERS
     counts = sorted({1, workers})
     mismatches = 0

@@ -1,7 +1,8 @@
 """Filtered ranking metrics for link prediction.
 
 Every (s, r, t) test triple becomes a tail query, and in the default "both"
-mode also a head query phrased through the inverse relation id r + M. Known
+mode also a head query phrased through the inverse relation id r + M
+(`split_queries`). Known
 true answers from any split (a `FilterIndex`: packed pair keys, CSR starts
 and one flat answer array) are removed from the candidate set except the
 gold one, and ties share their rank (rank = 1 + #better + #ties / 2) so a
@@ -23,7 +24,7 @@ from functools import partial
 import numpy as np
 
 from . import parallel
-from .kgdata import TripleStore, Vocabulary, group_answers
+from .kgdata import TripleStore, Vocabulary, group_answers, span_entries
 from .scoring import SCORE_HEADS, score_all_tails
 
 DIRECTIONS = ("both", "tail")
@@ -78,9 +79,11 @@ class FilterIndex(Mapping):
     the inverse id r + M. Pair p's answers are answers[starts[p]:starts[p + 1]],
     sorted and unique (`kgdata.group_answers`), which the ranker's subtraction
     of known rivals relies on. `spans` looks up a column of queries with one
-    `searchsorted`; `get` and `[]` return one pair's answers as a read-only
+    `searchsorted`, and the ranker and `constant_baseline_mrr` read the index
+    only through it. `get` and `[]` return one pair's answers as a read-only
     view, and iteration gives (src, rel) tuples of Python ints, as the keys of
-    a dict would. At FB15K-237-10% shape it holds about 87k pairs in 2.4 MB
+    a dict would; they serve callers outside the ranker, such as the oracle
+    and tests. At FB15K-237-10% shape it holds about 87k pairs in 2.4 MB
     (tracemalloc), where a dict of one array per pair held 21.7 MB.
     """
 
@@ -155,7 +158,7 @@ def _rank_block(scores: np.ndarray, gold: np.ndarray, starts: np.ndarray, ends: 
     counted over all N candidates as two 1-D compares, then the same counts
     over the row's known answers other than its gold are subtracted, so each
     span must hold unique ids. The (row, answer) pairs of the whole block are
-    gathered from the spans at once.
+    gathered from the spans at once (`kgdata.span_entries`).
     """
     if gold.size and (gold.min() < 0 or gold.max() >= scores.shape[1]):
         raise IndexError(f"gold entity out of range: {gold.min()}..{gold.max()}")
@@ -170,11 +173,7 @@ def _rank_block(scores: np.ndarray, gold: np.ndarray, starts: np.ndarray, ends: 
     for i, row in enumerate(scores):
         above[i] = np.count_nonzero(row > top[i])
         at_least[i] = np.count_nonzero(row >= bottom[i])
-    lengths = ends - starts
-    known_row = np.repeat(rows, lengths)
-    # an entry's place in `answers`: its span's start plus its place in the span
-    offset = starts - (np.cumsum(lengths) - lengths)
-    known_col = answers[offset[known_row] + np.arange(known_row.shape[0])]
+    known_row, known_col = span_entries(starts, ends, answers)
     rival = known_col != gold[known_row]
     known_row, known_col = known_row[rival], known_col[rival]
     known_score = scores[known_row, known_col]
@@ -252,11 +251,51 @@ def filtered_rank(scores: np.ndarray, gold: int, known: np.ndarray) -> float:
                              np.array([known.shape[0]]), known)[0])
 
 
-def num_candidates(num_entities: int, gold: int, known: np.ndarray) -> int:
-    allowed = np.ones(num_entities, dtype=bool)
-    allowed[known] = False
-    allowed[gold] = True
-    return int(np.count_nonzero(allowed))
+def _refuse_outside(name: str, ids: np.ndarray, bound: int):
+    """IndexError naming the first row of the (n, k) `ids` with an id outside [0, bound)."""
+    outside = (ids < 0) | (ids >= bound)
+    if outside.any():
+        row, col = np.argwhere(outside)[0]
+        raise IndexError(f"{name} id out of range: {ids[row, col]} in row {row}, "
+                         f"outside [0, {bound})")
+
+
+def split_queries(triples: np.ndarray, filter_index: FilterIndex, num_entities: int,
+                  num_raw_relations: int, direction: str):
+    """A split's queries as src, rel and gold id arrays, and each one's answer span.
+
+    Triple (s, r, t) gives its tail query (s, r, t) and, in "both" mode, its
+    head query (t, r + M, s) right after it, so src is each query's known
+    entity. Refused: an unknown direction, an empty split, an index that is
+    not a `FilterIndex` or is built for another relation count, an entity id
+    outside [0, N) in the split or among the index's answers, and in "both"
+    mode a raw relation id outside [0, M) (IndexError, naming the first bad
+    row). "tail" mode takes any relation id, inverse ones included.
+    """
+    if direction not in DIRECTIONS:
+        raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
+    if not isinstance(filter_index, FilterIndex):
+        raise TypeError(f"filter_index must be a FilterIndex (see build_filter_index), "
+                        f"got {type(filter_index).__name__}")
+    if filter_index.num_raw_relations != num_raw_relations:
+        raise ValueError(f"filter index built for {filter_index.num_raw_relations} raw "
+                         f"relations, split ranked with {num_raw_relations}")
+    triples = np.asarray(triples, dtype=np.int64)
+    if triples.shape[0] == 0:
+        raise ValueError("cannot evaluate an empty split")
+    _refuse_outside("entity", triples[:, ::2], num_entities)
+    if direction == "both":
+        _refuse_outside("raw relation", triples[:, 1:2], num_raw_relations)
+    answers = filter_index.answers
+    if answers.size and answers.max() >= num_entities:
+        raise IndexError(f"filter index holds entity id {answers.max()}, "
+                         f"outside [0, {num_entities})")
+    src, rel, gold = triples[:, 0], triples[:, 1], triples[:, 2]
+    if direction == "both":
+        # interleave each tail query with its head query
+        src, rel, gold = (np.column_stack(pair).ravel()
+                          for pair in ((src, gold), (rel, rel + num_raw_relations), (gold, src)))
+    return (src, rel, gold, *filter_index.spans(src, rel))
 
 
 def evaluate_split(
@@ -280,35 +319,16 @@ def evaluate_split(
     so its near-ties are decided on ordered re-scores (`_distmult_band`,
     `_ordered_scores`); the band reads the largest entity norm, whose squares
     are summed in entity runs on the workers. Every rank thus equals
-    `oracle_rank`'s, whatever the block layout or worker count. Every
-    query's answer span is looked up in `filter_index` at once
-    (`FilterIndex.spans`), and the index must be built for
-    `num_raw_relations` raw relations.
+    `oracle_rank`'s, whatever the block layout or worker count. The queries
+    and every query's answer span come from `split_queries`, which also
+    refuses the inputs that cannot be ranked.
     """
-    if direction not in DIRECTIONS:
-        raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
     if head not in SCORE_HEADS:
         raise ValueError(f"unknown score head: {head!r}")
-    if not isinstance(filter_index, FilterIndex):
-        raise TypeError(f"filter_index must be a FilterIndex (see build_filter_index), "
-                        f"got {type(filter_index).__name__}")
-    if filter_index.num_raw_relations != num_raw_relations:
-        raise ValueError(f"filter index built for {filter_index.num_raw_relations} raw "
-                         f"relations, split ranked with {num_raw_relations}")
-    triples = np.asarray(triples, dtype=np.int64)
-    if triples.shape[0] == 0:
-        raise ValueError("cannot evaluate an empty split")
-    src, rel, gold = triples[:, 0], triples[:, 1], triples[:, 2]
-    if direction == "both":
-        # interleave each tail query with its head query
-        src, rel, gold = (np.column_stack(pair).ravel()
-                          for pair in ((src, gold), (rel, rel + num_raw_relations), (gold, src)))
-    num_queries, num_entities = src.shape[0], h.shape[0]
-    # before the band reads a gold norm
-    if gold.min() < 0 or gold.max() >= num_entities:
-        raise IndexError(f"gold entity out of range: {gold.min()}..{gold.max()}")
-    starts, ends = filter_index.spans(src, rel)
-    answers = filter_index.answers
+    num_entities = h.shape[0]
+    src, rel, gold, starts, ends = split_queries(triples, filter_index, num_entities,
+                                                 num_raw_relations, direction)
+    num_queries, answers = src.shape[0], filter_index.answers
     if head == "distmult":
         # sqrt is monotone, so the largest norm is the root of the largest square
         squares = np.empty(num_entities)
@@ -367,18 +387,17 @@ def constant_baseline_mrr(
     """MRR of a scorer that ties every candidate: mean of 2 / (C_q + 1).
 
     With C_q filtered candidates all tied, the shared rank is (C_q + 1) / 2.
-    Useful as an analytic chance floor.
+    Useful as an analytic chance floor. The queries and their known answers'
+    spans are `evaluate_split`'s (`split_queries`, which refuses what it
+    refuses), and C_q is N less the span's length, plus one if the gold is in
+    the span.
     """
-    if direction not in DIRECTIONS:
-        raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-    recip = []
-    for s, r, t in np.asarray(triples, dtype=np.int64):
-        known = filter_index.get((int(s), int(r)), _EMPTY)
-        recip.append(2.0 / (num_candidates(num_entities, int(t), known) + 1))
-        if direction == "both":
-            known = filter_index.get((int(t), int(r) + num_raw_relations), _EMPTY)
-            recip.append(2.0 / (num_candidates(num_entities, int(s), known) + 1))
-    return float(np.mean(recip))
+    _, _, gold, starts, ends = split_queries(triples, filter_index, num_entities,
+                                             num_raw_relations, direction)
+    rows, known = span_entries(starts, ends, filter_index.answers)
+    gold_known = np.bincount(rows[known == gold[rows]], minlength=gold.shape[0])
+    candidates = num_entities - (ends - starts) + gold_known
+    return float(np.mean(2.0 / (candidates + 1)))
 
 
 def oracle_rank(

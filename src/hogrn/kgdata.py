@@ -195,6 +195,19 @@ def group_answers(src: np.ndarray, rel: np.ndarray, ans: np.ndarray):
     return src[firsts], rel[firsts], np.append(firsts, ans.shape[0]), ans
 
 
+def span_entries(starts: np.ndarray, ends: np.ndarray, answers: np.ndarray):
+    """Every entry of the spans answers[starts[i]:ends[i]] as a (row i, answer) pair.
+
+    Returns the rows and the answers as two id arrays, row by row and each
+    span in its order in `answers`; an empty span gives no pair.
+    """
+    lengths = ends - starts
+    rows = np.repeat(np.arange(lengths.shape[0]), lengths)
+    # an entry's place in `answers`: its span's start plus its place in the span
+    offset = starts - (np.cumsum(lengths) - lengths)
+    return rows, answers[offset[rows] + np.arange(rows.shape[0])]
+
+
 def _out_edge_order(src: np.ndarray, rel: np.ndarray, tgt: np.ndarray,
                     num_entities: int, num_relations: int):
     """Edge ids sorted by (src, rel, tgt), and a mask of sorted neighbours that are equal.

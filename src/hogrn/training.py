@@ -24,7 +24,8 @@ from . import autodiff as ad
 from . import parallel, workspace
 from .autodiff import Tensor, _checked
 from .evaluation import DIRECTIONS, build_filter_index, evaluate_split
-from .kgdata import ExtendedGraph, TripleStore, Vocabulary, extend_triples, group_answers
+from .kgdata import (ExtendedGraph, TripleStore, Vocabulary, extend_triples, group_answers,
+                     span_entries)
 from .model import HoGRN
 from .optim import Adam
 # batch_scores is not called here: perfbench's tracer and the parity tests rebind it by this name
@@ -97,28 +98,35 @@ class TrainConfig:
 
 @dataclass
 class QuerySet:
-    """Unique (source, relation) pairs of the extended graph with their tails."""
+    """Unique (source, relation) pairs of the extended graph with their tails, as CSR.
+
+    Query q is (src[q], rel[q]) and its tails are answers[starts[q]:starts[q + 1]],
+    sorted and unique: the four arrays of `kgdata.group_answers`, held as
+    they come, with no per-query array.
+    """
 
     src: np.ndarray
     rel: np.ndarray
-    tails: list[np.ndarray]
+    starts: np.ndarray
+    answers: np.ndarray
     num_entities: int
 
     def __len__(self) -> int:
         return self.src.shape[0]
 
     def multi_hot(self, idx: np.ndarray) -> np.ndarray:
+        """(len(idx), N) bool targets: row i is True at the tails of query idx[i]."""
+        rows, tails = span_entries(self.starts[:-1][idx], self.starts[1:][idx], self.answers)
         targets = np.zeros((len(idx), self.num_entities), dtype=bool)
-        for row, q in enumerate(idx):
-            targets[row, self.tails[q]] = True
+        targets[rows, tails] = True
         return targets
 
 
 def build_queries(graph: ExtendedGraph) -> QuerySet:
+    """Every (source, relation) pair of the extended graph's edges with its tails."""
     src, rel, starts, answers = group_answers(graph.edge_src, graph.edge_rel, graph.edge_tgt)
-    # plain slices: np.split costs about four times as much per group
-    tails = [answers[a:b] for a, b in zip(starts[:-1].tolist(), starts[1:].tolist())]
-    return QuerySet(src=src, rel=rel, tails=tails, num_entities=graph.num_entities)
+    return QuerySet(src=src, rel=rel, starts=starts, answers=answers,
+                    num_entities=graph.num_entities)
 
 
 def bce_loss(scores: Tensor, targets: np.ndarray) -> Tensor:

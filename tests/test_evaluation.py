@@ -1,4 +1,5 @@
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from hogrn.evaluation import (
     constant_baseline_mrr,
     evaluate_split,
     filtered_rank,
-    num_candidates,
     oracle_rank,
 )
 from hogrn.kgdata import TripleStore, Vocabulary
@@ -63,11 +63,6 @@ def test_filtered_rank_invariant_under_monotone_transforms():
 def test_filtered_rank_validates_gold():
     with pytest.raises(IndexError):
         filtered_rank(np.zeros(3), gold=3, known=EMPTY)
-
-
-def test_num_candidates_counts_allowed_entities():
-    assert num_candidates(10, gold=0, known=np.array([1, 2, 3])) == 7
-    assert num_candidates(4, gold=1, known=np.array([0, 1, 2, 3])) == 1
 
 
 def test_build_filter_index_spans_all_splits_and_inverses():
@@ -324,6 +319,98 @@ def test_empty_split_raises():
     with pytest.raises(ValueError, match="empty split"):
         evaluate_split("distmult", np.ones((2, 2)), np.ones((3, 2)),
                        np.empty((0, 3), dtype=np.int64), index_of({}, 1), 1)
+
+
+def baseline_reference(triples, index, num_entities, num_raw, direction):
+    """The chance MRR by a loop over triples: each query's candidates are the
+    entities that are not known answers, and its gold."""
+    recip = []
+    for s, r, t in np.asarray(triples).tolist():
+        queries = [(s, r, t), (t, r + num_raw, s)] if direction == "both" else [(s, r, t)]
+        for src, rel, gold in queries:
+            allowed = np.ones(num_entities, dtype=bool)
+            allowed[index.get((src, rel), EMPTY)] = False
+            allowed[gold] = True
+            recip.append(2.0 / (np.count_nonzero(allowed) + 1))
+    return float(np.mean(recip))
+
+
+@pytest.mark.parametrize("direction", ["both", "tail"])
+def test_constant_baseline_equals_a_per_triple_loop_bit_for_bit(direction):
+    store, vocab = rule_composition_kg(num_entities=120, branching=3, seed=5)
+    n, m = vocab.num_entities, vocab.num_relations
+    # a quarter of train, so some tail and some head queries of the test split
+    # have no known answer (an empty span) and others have several
+    facts = store.train[::4]
+    index = FilterIndex(np.concatenate([facts[:, 0], facts[:, 2]]),
+                        np.concatenate([facts[:, 1], facts[:, 1] + m]),
+                        np.concatenate([facts[:, 2], facts[:, 0]]), m)
+    s, r, t = store.test.T
+    for src, rel in ((s, r), (t, r + m)):
+        starts, ends = index.spans(src, rel)
+        assert np.any(ends == starts) and np.any(ends - starts > 1)
+    expect = baseline_reference(store.test, index, n, m, direction)
+    assert constant_baseline_mrr(store.test, index, n, m, direction) == expect
+    full = build_filter_index(store, vocab)
+    assert (constant_baseline_mrr(store.test, full, n, m, direction)
+            == baseline_reference(store.test, full, n, m, direction))
+
+
+def test_constant_baseline_counts_candidates_on_a_hand_built_index():
+    # gold outside the known answers: 10 entities less 3 known, so 7 candidates
+    index = index_of({(5, 0): [1, 2, 3]}, 1)
+    assert constant_baseline_mrr(np.array([[5, 0, 0]]), index, 10, 1, "tail") == 2.0 / 8
+    # gold among the known answers: every entity is known, the gold stays
+    index = index_of({(0, 0): [0, 1, 2, 3]}, 1)
+    assert constant_baseline_mrr(np.array([[0, 0, 1]]), index, 4, 1, "tail") == 2.0 / 2
+    # a query with no known answer (an empty span) keeps all 10 entities
+    index = index_of({(5, 0): [1, 2, 3]}, 1)
+    assert constant_baseline_mrr(np.array([[2, 0, 0]]), index, 10, 1, "tail") == 2.0 / 11
+    # both directions: the head query (0, 1, 5) has no known answer
+    assert (constant_baseline_mrr(np.array([[5, 0, 0]]), index, 10, 1)
+            == float(np.mean([2.0 / 8, 2.0 / 11])))
+
+
+def test_constant_baseline_refuses_an_empty_split():
+    with pytest.raises(ValueError, match="empty split"):
+        constant_baseline_mrr(np.empty((0, 3), dtype=np.int64), index_of({(0, 0): [1]}, 1), 3, 1)
+
+
+def test_constant_baseline_refuses_entity_ids_that_evaluate_split_refuses():
+    # a negative gold would wrap round to the last entity
+    index = index_of({(0, 0): [1]}, 1)
+    h, z = np.ones((3, 2)), np.ones((3, 2))
+    for bad in ([0, 0, -1], [-1, 0, 1], [0, 0, 3], [3, 0, 0]):
+        for direction in ("both", "tail"):
+            with pytest.raises(IndexError, match="entity"):
+                constant_baseline_mrr(np.array([[0, 0, 1], bad]), index, 3, 1, direction)
+            with pytest.raises(IndexError, match="entity"):
+                evaluate_split("distmult", h, z, np.array([[0, 0, 1], bad]), index, 1, direction)
+    # an answer id outside [0, N) in the index
+    for refuse in (partial(constant_baseline_mrr, np.array([[0, 0, 0]]), index, 1, 1),
+                   partial(evaluate_split, "distmult", h[:1], z, np.array([[0, 0, 0]]), index, 1)):
+        with pytest.raises(IndexError, match="filter index holds entity id 1"):
+            refuse()
+
+
+def test_both_directions_refuse_raw_relation_ids_outside_the_raw_range():
+    # two raw relations: in "both" mode relation 2 would be ranked as the
+    # inverse of 0 and its head query (id 4, the self-loop row) unfiltered
+    num_raw, n = 2, 4
+    h, z = np.ones((n, 2)), np.ones((2 * num_raw + 1, 2))
+    index = index_of({(0, 0): [1], (1, 2): [0, 3]}, num_raw)
+    for rel in (2, 3, -1):
+        triples = np.array([[0, 0, 1], [1, 1, 2], [0, rel, 3]])
+        with pytest.raises(IndexError, match=rf"raw relation id out of range: {rel} in row 2"):
+            evaluate_split("distmult", h, z, triples, index, num_raw)
+        with pytest.raises(IndexError, match=rf"raw relation id out of range: {rel} in row 2"):
+            constant_baseline_mrr(triples, index, n, num_raw)
+    # "tail" mode still ranks an inverse id as a query of that id
+    triples = np.array([[1, 2, 0]])
+    ranks = evaluate_split("distmult", h, z, triples, index, num_raw, "tail", keep_ranks=True)
+    # all tie, and entity 3 is filtered: three candidates share rank 2
+    assert ranks.ranks.tolist() == [2.0]
+    assert constant_baseline_mrr(triples, index, n, num_raw, "tail") == 2.0 / 4
 
 
 def test_direction_validation():

@@ -13,6 +13,7 @@ from hogrn.kgdata import (
     load_split,
     _out_edge_order,
     sparsify_subset,
+    span_entries,
 )
 
 from conftest import make_store, star_store
@@ -314,3 +315,15 @@ def test_splits_and_known_facts(six_dataset):
     facts = known_facts(store)
     assert len(facts) == 12
     assert tuple(store.train[0]) in facts
+
+
+def test_span_entries_pairs_each_span_entry_with_its_row():
+    # spans in any order, one of them overlapping another, and empty ones
+    # in the middle and at the end
+    answers = np.array([10, 11, 12, 13, 14, 15])
+    starts, ends = np.array([3, 0, 2, 5, 1, 6]), np.array([6, 2, 2, 6, 3, 6])
+    rows, got = span_entries(starts, ends, answers)
+    expect = [(i, int(a)) for i, (lo, hi) in enumerate(zip(starts, ends)) for a in answers[lo:hi]]
+    assert list(zip(rows.tolist(), got.tolist())) == expect
+    rows, got = span_entries(np.array([4]), np.array([4]), answers)
+    assert rows.shape == got.shape == (0,)

@@ -12,7 +12,7 @@ import hogrn.training
 from hogrn import workspace
 from hogrn.evaluation import build_filter_index, evaluate_split
 from hogrn.explain import explain
-from hogrn.kgdata import ExtendedGraph, extend_triples
+from hogrn.kgdata import ExtendedGraph, extend_triples, group_answers
 from hogrn.optim import Adam
 from hogrn.scoring import batch_scores
 from hogrn.seeding import substream
@@ -50,8 +50,8 @@ def test_build_queries_covers_unique_source_relation_pairs(six_graph):
     expect = {}
     for s, r, t in zip(six_graph.edge_src, six_graph.edge_rel, six_graph.edge_tgt):
         expect.setdefault((int(s), int(r)), set()).add(int(t))
-    got = {(int(s), int(r)): set(tails.tolist())
-           for s, r, tails in zip(queries.src, queries.rel, queries.tails)}
+    got = {(int(s), int(r)): set(queries.answers[a:b].tolist())
+           for s, r, a, b in zip(queries.src, queries.rel, queries.starts[:-1], queries.starts[1:])}
     assert got == expect
     assert len(queries) == len(expect)
 
@@ -59,8 +59,10 @@ def test_build_queries_covers_unique_source_relation_pairs(six_graph):
 def test_build_queries_tails_are_sorted_and_unique():
     store, vocab = rule_composition_kg(num_entities=60, branching=3, seed=1)
     queries = build_queries(extend_triples(store, vocab))
-    assert max(len(t) for t in queries.tails) > 1
-    for tails in queries.tails:
+    assert queries.starts[0] == 0 and queries.starts[-1] == queries.answers.shape[0]
+    assert np.diff(queries.starts).max() > 1
+    for a, b in zip(queries.starts[:-1], queries.starts[1:]):
+        tails = queries.answers[a:b]
         assert np.all(np.diff(tails) > 0)
         np.testing.assert_array_equal(tails, np.unique(tails))
 
@@ -79,7 +81,25 @@ def test_multi_hot_targets(six_graph):
     assert targets.shape == (2, six_graph.num_entities)
     assert targets.dtype == bool
     for row, q in enumerate(idx):
-        np.testing.assert_array_equal(np.flatnonzero(targets[row]), queries.tails[q])
+        np.testing.assert_array_equal(np.flatnonzero(targets[row]),
+                                      queries.answers[queries.starts[q]:queries.starts[q + 1]])
+
+
+def test_multi_hot_of_a_shuffled_batch_equals_a_per_query_reference():
+    # branching 3: many queries have several tails
+    store, vocab = rule_composition_kg(num_entities=60, branching=3, seed=1)
+    graph = extend_triples(store, vocab)
+    queries = build_queries(graph)
+    _, _, starts, answers = group_answers(graph.edge_src, graph.edge_rel, graph.edge_tgt)
+    assert np.diff(starts).max() > 1
+    idx = np.random.default_rng(7).permutation(len(queries))[:50]
+    expect = np.zeros((idx.shape[0], graph.num_entities), dtype=bool)
+    for row, q in enumerate(idx.tolist()):
+        expect[row, answers[starts[q]:starts[q + 1]]] = True
+    targets = queries.multi_hot(idx)
+    assert targets.dtype == bool
+    np.testing.assert_array_equal(targets, expect)
+    assert queries.multi_hot(idx[:0]).shape == (0, graph.num_entities)
 
 
 def test_bce_all_zero_scores_is_log_two_for_any_targets():
