@@ -7,9 +7,10 @@ Subcommands:
 * train: fit a model; writes checkpoint.npz and train_log.txt to --out
 * eval: filtered ranking metrics for a checkpoint on valid or test
 * explain: attention-weighted paths behind one (source, target) pair
-* selfcheck: finite-difference gradient check of both heads, the loss cells against scipy,
-  the row order of the sparse kernel behind aggregation's scatters, and rank-oracle
-  equivalence, of single rows and of `evaluate_split`'s blocks
+* selfcheck: finite-difference gradient check of both heads, the TransE adjoint against
+  its sign cube, the loss cells against scipy, the row order of the sparse kernel behind
+  aggregation's scatters, and rank-oracle equivalence, of single rows and of
+  `evaluate_split`'s blocks
 
 The DATA_DIR argument may be omitted when the HOGRN_DATA environment
 variable points at a dataset directory. Training options come from defaults,
@@ -39,7 +40,7 @@ from .explain import explain, to_dot, to_records
 from .kgdata import (_first_line_not_utf8, degree_report, export_dataset, extend_triples,
                      load_dataset, sparsify_subset, unseen_in_train_warning)
 from .optim import finite_difference_check
-from .scoring import score_all_tails
+from .scoring import _l1_adjoints, adjoint_scratch, score_all_tails
 from .seeding import substream
 from .synthetic import rule_composition_kg
 from .training import (TrainConfig, _bce_cells, batch_loss, build_queries, fit, restore_model,
@@ -352,6 +353,39 @@ def _gradient_check(head: str, graph, queries, args) -> bool:
     return report.passed
 
 
+def _l1_adjoint_check() -> bool:
+    """Compare the TransE adjoint against its (B x N x d) sign cube on one and on
+    this process's workers.
+
+    Dyadic gradients, queries and entities make every sum exact, with exact
+    ties in every dimension, and the scratch regions start as NaN, so any
+    difference is a fault of the masked sums, the tie pass or the region
+    plan. Prints one summary line.
+    """
+    rng = np.random.default_rng(0)
+    n, dim, num_queries = 1100, 8, 64  # 70,400 upstream cells, past parallel.INLINE_CELLS
+    h = rng.integers(-3, 4, size=(n, dim)) / 4.0
+    query = rng.integers(-3, 4, size=(num_queries, dim)) / 4.0
+    g = rng.integers(-16, 17, size=(num_queries, n)) / 16.0
+    weighted = g[:, :, None] * np.sign(query[:, None, :] - h[None, :, :])
+    want = (-weighted.sum(axis=1), weighted.sum(axis=0))
+    workers = parallel.WORKERS
+    counts = sorted({1, workers})
+    mismatches = 0
+    try:
+        for count in counts:
+            parallel.WORKERS = count  # one worker needs no pool
+            scratch = [np.full(shape, np.nan) for shape in adjoint_scratch("transe", n, dim)]
+            got = _l1_adjoints(g, query, h, scratch)
+            mismatches += sum(int(np.count_nonzero(a != b)) for a, b in zip(got, want))
+    finally:
+        parallel.WORKERS = workers
+    print(f"l1 adjoint: {'ok' if mismatches == 0 else 'FAILED'} ({mismatches} of "
+          f"{len(counts) * (num_queries + n) * dim} values differ from the sign cube; "
+          f"workers {', '.join(map(str, counts))})")
+    return mismatches == 0
+
+
 def _loss_cell_check() -> bool:
     """Compare the BCE's loss cells against scipy's `log_expit` on a fixed grid.
 
@@ -406,6 +440,7 @@ def _cmd_selfcheck(args) -> int:
     passed = [_gradient_check(head, graph, queries, args) for head in ("distmult", "transe")]
     if args.fault_scale:
         print("fault injection active: a failure above confirms the checker catches bad gradients")
+    passed.append(_l1_adjoint_check())
     passed.append(_loss_cell_check())
     passed.append(_row_sum_check())
 

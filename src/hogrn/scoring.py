@@ -11,10 +11,11 @@ both). The TransE backward needs the sign of every (query, entity,
 dimension) difference; it sums them as float-masked column blocks plus an
 exact-tie pass (`_l1_adjoints`). Each thread packs a column block of the
 upstream gradient into a contiguous buffer once and reads it there for each
-of its dimensions. The adjoint's four (N x d) arrays are scratch regions:
-training's fused head takes them from the step workspace with its score and
-cell blocks (`adjoint_scratch`), any other caller gets fresh memory. The
-TransE forward is cut into two row ranges and its backward into two
+of its dimensions, and sorts each dimension for the tie pass into an (N,)
+buffer of its own. The adjoint's two entity-sized arrays are scratch regions
+(`adjoint_scratch`): training's fused head cuts them from its spent
+loss-cell region in the step workspace, any other caller gets fresh memory.
+The TransE forward is cut into two row ranges and its backward into two
 dimension ranges, one per worker thread (`parallel`); inside a part of a
 split ranking pass the forward runs whole on that part's thread. Each row's
 distances and each dimension's sums keep their order, so scores and
@@ -67,13 +68,12 @@ def batch_scores(head: str, h: Tensor, z: Tensor, src_ids, rel_ids) -> Tensor:
 def adjoint_scratch(head: str, num_entities: int, dim: int) -> tuple:
     """Shapes of the scratch regions `score_adjoints` takes for `head`.
 
-    TransE: the entity columns (d x N), the tail-side masked sums (N x d),
-    which end as the tail adjoint, the tie sums (N x d) and the sorted
-    columns (d x N). DistMult takes none.
+    TransE: the entity columns (d x N) and the tail-side masked sums
+    (N x d), which end as the tail adjoint. DistMult takes none.
     """
     if head != "transe":
         return ()
-    return (dim, num_entities), (num_entities, dim), (num_entities, dim), (dim, num_entities)
+    return (dim, num_entities), (num_entities, dim)
 
 
 def score_adjoints(head: str, g: np.ndarray, h: np.ndarray, z: np.ndarray,
@@ -116,23 +116,24 @@ def _l1_adjoints(g: np.ndarray, query: np.ndarray, h: np.ndarray, scratch=None):
     columns of g into a contiguous buffer of its own, then per dimension
     writes a 0/1 float mask and multiplies it by the packed block, so no
     (B, N, d) array exists. An exact tie has s = 0 where the mask counts -1;
-    a sorted search per dimension finds the tied (query, entity) pairs and
-    adds their g back on both sides.
+    after its block loop the thread finds each dimension's tied (query,
+    entity) pairs (`_tie_sums`) and adds their g back on both sides, then
+    finishes that dimension's column of d_tail.
 
-    The four (N x d) arrays are the views `scratch` holds (`adjoint_scratch`),
-    or fresh ones without it; d_tail is assembled in place in the masked-sum
-    region and returned as a view of it.
+    The entity columns (d x N) and the masked sums (N x d) are the views
+    `scratch` holds (`adjoint_scratch`), or fresh ones without it; d_tail is
+    assembled in place in the masked-sum region and returned as a view of it.
     """
     num_queries, num_entities = g.shape
     dim = h.shape[1]
     if scratch is None:
         scratch = workspace.TRANSIENT.take(*adjoint_scratch("transe", num_entities, dim))
-    h_cols, above_t, tie_t, sorted_cols = scratch
+    h_cols, d_tail = scratch
     np.copyto(h_cols, h.T)
     above_q = np.zeros((num_queries, dim))  # sum_j g[i, j] [query[i, k] > h[j, k]]
-    # above_t: sum_i of the same cells, every one written by the block loop
+    # d_tail first holds sum_i of the same cells, every one written by the block loop
     tie_q = np.zeros(above_q.shape)
-    tie_t.fill(0.0)
+    col_sum = g.sum(axis=0)
     ones_q, ones_w = np.ones(num_queries), np.ones(ENTITY_BLOCK)
 
     def part(k_lo, k_hi):
@@ -148,33 +149,45 @@ def _l1_adjoints(g: np.ndarray, query: np.ndarray, h: np.ndarray, scratch=None):
                 np.greater(query[:, k, None], h_blk[k], out=buf)
                 np.multiply(g_blk, buf, out=buf)
                 above_q[:, k] += buf @ ones
-                above_t[lo:lo + w, k] = ones_q @ buf
+                d_tail[lo:lo + w, k] = ones_q @ buf
 
-        sorted_h = sorted_cols[k_lo:k_hi]
-        np.copyto(sorted_h, h_cols[k_lo:k_hi])
-        sorted_h.sort(axis=1)
+        sorted_h = np.empty(num_entities)
         for k in range(k_lo, k_hi):
-            left = np.searchsorted(sorted_h[k - k_lo], query[:, k], "left")
-            count = np.searchsorted(sorted_h[k - k_lo], query[:, k], "right") - left
-            n_ties = int(count.sum())
-            if not n_ties:
-                continue
-            # tied pair t of query i sits at sorted position left[i] + (t - first pair of i)
-            rows = np.repeat(np.arange(num_queries), count)
-            offsets = np.repeat(left - np.cumsum(count) + count, count)
-            cols = np.argsort(h_cols[k])[offsets + np.arange(n_ties)]
-            vals = g[rows, cols]
-            tie_q[:, k] = np.bincount(rows, vals, num_queries)
-            tie_t[:, k] = np.bincount(cols, vals, num_entities)
+            ties = _tie_sums(g, query[:, k], h_cols[k], sorted_h)
+            # 2 above - colsum(g) + ties, in this order; a column without a tie
+            # adds 0.0, which turns -0.0 into +0.0 as a zero tie sum does
+            tie_t = 0.0
+            if ties is not None:
+                tie_q[:, k], tie_t = ties
+            column = d_tail[:, k]
+            column *= 2.0
+            column -= col_sum
+            column += tie_t
 
     parallel.run(part, parallel.cuts(dim, width=g.size))
     d_query = g.sum(axis=1)[:, None] - 2.0 * above_q - tie_q
-    # 2 above_t - colsum(g) + tie_t, the same operations in the same order
-    d_tail = above_t
-    d_tail *= 2.0
-    d_tail -= g.sum(axis=0)[:, None]
-    d_tail += tie_t
     return d_query, d_tail
+
+
+def _tie_sums(g: np.ndarray, query_k: np.ndarray, h_k: np.ndarray, sorted_h: np.ndarray):
+    """Sums of g over the exact ties query_k[i] == h_k[j], by query (B,) and by entity (N,).
+
+    None when no pair ties. `sorted_h`, an (N,) buffer, receives h_k sorted
+    for the search that finds the tied pairs.
+    """
+    np.copyto(sorted_h, h_k)
+    sorted_h.sort()
+    left = np.searchsorted(sorted_h, query_k, "left")
+    count = np.searchsorted(sorted_h, query_k, "right") - left
+    n_ties = int(count.sum())
+    if not n_ties:
+        return None
+    # tied pair t of query i sits at sorted position left[i] + (t - first pair of i)
+    rows = np.repeat(np.arange(g.shape[0]), count)
+    offsets = np.repeat(left - np.cumsum(count) + count, count)
+    cols = np.argsort(h_k)[offsets + np.arange(n_ties)]
+    vals = g[rows, cols]
+    return np.bincount(rows, vals, g.shape[0]), np.bincount(cols, vals, g.shape[1])
 
 
 def score_all_tails(head: str, h: np.ndarray, z: np.ndarray, src, rel,

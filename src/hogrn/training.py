@@ -159,36 +159,41 @@ def one_vs_all_loss(head: str, h: Tensor, z: Tensor, src_ids, rel_ids,
     """`bce_loss(batch_scores(head, h, z, src_ids, rel_ids), targets)` as one tape node.
 
     It runs the same arithmetic, so the loss and the gradients of h and z
-    are bitwise those of the two nodes. The score block and the cell block
-    are the head's regions of the lent workspace (`workspace`), taken with
-    the adjoint's scratch regions behind them (`adjoint_scratch`; TransE
-    only). The node keeps them from its forward to its first backward,
-    which writes the BCE gradient over the cells and hands it and the
-    scratch to `score_adjoints`, then lets them go. A backward that finds
-    them gone or stale (a later take may have reused them) scores the block
-    again into fresh regions.
+    are bitwise those of the two nodes. It takes two regions of the lent
+    workspace (`workspace`) in one take: the (B x N) score block and a spare
+    region of max(B N, the adjoint's cells) cells. The forward writes the
+    loss cells into the spare region. The node keeps both from its forward
+    to its first backward, which writes the BCE gradient over the scores
+    (it is element-wise), cuts the spent spare region into the adjoint's
+    scratch (`adjoint_scratch`; TransE only), hands both to `score_adjoints`
+    and lets them go. A backward that finds them gone or stale (a later take
+    may have reused them) scores the block again into fresh regions.
     """
     src_ids = np.asarray(src_ids, dtype=np.intp)
     rel_ids = np.asarray(rel_ids, dtype=np.intp)
     h_d, z_d = h.data, z.data
-    shapes = ((src_ids.size, h_d.shape[0]),) * 2 + adjoint_scratch(head, *h_d.shape)
+    block_shape = (src_ids.size, h_d.shape[0])
+    scratch_shapes = adjoint_scratch(head, *h_d.shape)
+    spare = max(math.prod(block_shape), sum(math.prod(shape) for shape in scratch_shapes))
     work = workspace.lent()
-    block = work.take(*shapes)
+    block = work.take(block_shape, (spare,))
     taken = work.generation
-    scores, cells = block[:2]
+    scores = block[0]
+    cells = block[1][:scores.size].reshape(block_shape)
     _checked(score_all_tails(head, h_d, z_d, src_ids, rel_ids, out=scores), "batch_scores")
-    positive = _positive_cells(scores.shape, targets)
+    positive = _positive_cells(block_shape, targets)
     loss = _checked(-_bce_cells(scores, positive, cells).mean(), "bce_loss")
     size = scores.size
 
     def backward(g):
         if not block or work.generation != taken:
-            block[:] = work.take(*shapes)
+            block[:] = work.take(block_shape, (spare,))
             score_all_tails(head, h_d, z_d, src_ids, rel_ids, out=block[0])
-        s, grad, *scratch = block
+        grad, spent = block
         block.clear()
-        _bce_grad(s, positive, g / size, grad)
-        grad_h, grad_z = score_adjoints(head, grad, h_d, z_d, src_ids, rel_ids, scratch)
+        _bce_grad(grad, positive, g / size, grad)
+        grad_h, grad_z = score_adjoints(head, grad, h_d, z_d, src_ids, rel_ids,
+                                        workspace.carve(spent, scratch_shapes))
         h._accumulate_owned(grad_h)
         z._accumulate_owned(grad_z)
 
@@ -237,7 +242,10 @@ def _bce_cells(s: np.ndarray, positive: np.ndarray, cells: np.ndarray) -> np.nda
 
 
 def _bce_grad(s: np.ndarray, positive: np.ndarray, scale, grad: np.ndarray) -> np.ndarray:
-    """`scale` times each cell's d/ds, written into `grad` by row halves."""
+    """`scale` times each cell's d/ds, written into `grad` by row halves.
+
+    Each cell reads only its own score, so `grad` may be `s` itself.
+    """
 
     def part(lo, hi):
         # d/ds of -log sigmoid(+-s) is -+sigmoid(-+s)

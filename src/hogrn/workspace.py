@@ -9,26 +9,31 @@ start of the buffer, and no two phases are live at once:
 | phase | regions | live |
 |---|---|---|
 | aggregation forward | message block (C x d) | inside the call |
-| 1-vs-all head | score block, cell block (B x N each) | from the head's forward to its backward |
-| TransE head backward | behind the head's blocks: entity columns (d x N), masked sums (N x d), tie sums (N x d), sorted columns (d x N) | inside the head's backward |
+| 1-vs-all head | score block (B x N), spare region: the loss cells (B x N), then in the head's backward the TransE adjoint's entity columns (d x N) and masked sums (N x d) | from the head's forward to its backward |
 | aggregation backward | target-side rows (E x d), one chunk's source-side and relation rows (C x d each) | inside the call |
 | Adam | step and denominator scratch (each a parameter's shape) | inside one parameter's update |
 
 C is the edge count of the graph's largest aggregation chunk (`kgdata`,
-about E / AGGREGATION_CHUNKS). So the buffer grows to max((E + 2 C) d,
-2 B N + 4 N d for TransE or 2 B N for DistMult, 2 x the largest parameter)
-cells in the first step and keeps that size; at the published shapes the
-head's phase is the largest (NELL23K 11.74M cells against 11.07M for
-aggregation, WD-singer 9.38M against 6.39M). The TransE adjoint's
-regions are taken with the head's blocks, in one take, and are written
-before they are read inside its backward, which reads the upstream gradient
-from the cell block; the masked-sum region ends as the tail adjoint, spent
-by `score_adjoints` before it returns. On the tape the head's backward runs
-before either layer's aggregation backward, which needs the gradient it
-makes, and Adam runs after the whole backward. Only the head keeps its
-regions past a call. A later take may reuse them (a second forward built
-before the first backward, or a repeated backward), so every take advances
-`generation`, and the head scores its block again when that moved.
+about E / AGGREGATION_CHUNKS). The head's spare region holds max(B N, 2 N d)
+cells for TransE and B N for DistMult. So the buffer grows to
+max((E + 2 C) d, B N + the spare region, 2 x the largest parameter) cells
+in the first step and keeps that size. At the published shapes (B = 256, d = 100, so B N
+exceeds 2 N d) the head's phase is 2 B N with either head: it sets the size
+at NELL23K (11.74M cells against 11.07M for aggregation), and aggregation
+sets it at WD-singer (6.39M against 5.26M) and FB15K-237-10% (9.89M against
+5.89M). With four (N x d) adjoint regions behind two blocks, a TransE step
+took 9.38M cells at WD-singer and 10.50M at FB15K-237-10%. The head takes
+its two regions in one take. Its backward writes the BCE gradient over the
+scores in place and cuts the spare region, whose loss cells are spent by
+then, into the adjoint's regions; no second take is made, so no view
+outlives its region. Each adjoint region is written before it is read, and
+the masked-sum region ends as the tail adjoint, spent by `score_adjoints`
+before it returns. On the tape the head's backward runs before either
+layer's aggregation backward, which needs the gradient it makes, and Adam
+runs after the whole backward. Only the head keeps its regions past a call.
+A later take may reuse them (a second forward built before the first
+backward, or a repeated backward), so every take advances `generation`, and
+the head scores its block again when that moved.
 
 No view of the buffer leaves its phase: gradients handed to the tape and
 arrays kept on a `Tensor` are fresh arrays.
@@ -65,14 +70,9 @@ class Workspace:
         Every view taken earlier may now share memory with these; the buffer
         grows to fit when they need more cells than it has.
         """
-        sizes = [math.prod(shape) for shape in shapes]
-        buf = self._buffer(sum(sizes))
+        buf = self._buffer(sum(math.prod(shape) for shape in shapes))
         self.generation += 1
-        views, start = [], 0
-        for shape, size in zip(shapes, sizes):
-            views.append(buf[start:start + size].reshape(shape))
-            start += size
-        return views
+        return carve(buf, shapes)
 
     def _buffer(self, cells: int) -> np.ndarray:
         if cells > self._buf.size:
@@ -81,6 +81,16 @@ class Workspace:
             self._buf = np.empty(0)
             self._buf = np.empty(cells)
         return self._buf
+
+
+def carve(region: np.ndarray, shapes) -> list[np.ndarray]:
+    """One C-contiguous view per shape, laid back to back from the start of the flat `region`."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(region[start:start + size].reshape(shape))
+        start += size
+    return views
 
 
 class _Transient(Workspace):

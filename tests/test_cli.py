@@ -557,6 +557,17 @@ def test_selfcheck_checks_block_ranks_against_the_oracle(monkeypatch, capsys):
                          capsys.readouterr().out, re.M), name
 
 
+def test_selfcheck_checks_the_l1_adjoint_against_the_sign_cube(monkeypatch, capsys):
+    assert main(["selfcheck", "--seed", "0", "--coords", "2"]) == 0
+    assert re.search(r"^l1 adjoint: ok \(0 of \d+ values differ from the sign cube; workers 1",
+                     capsys.readouterr().out, re.M)
+    # a tie fold that drops the ties counts each tied pair as -1, not as 0
+    monkeypatch.setattr(scoring, "_tie_sums", lambda *args: None)
+    assert main(["selfcheck", "--seed", "0", "--coords", "2"]) == 2
+    assert re.search(r"^l1 adjoint: FAILED \([1-9]\d* of \d+ values differ from the sign cube",
+                     capsys.readouterr().out, re.M)
+
+
 def test_selfcheck_checks_the_row_order_of_the_sparse_scatter(monkeypatch, capsys):
     assert main(["selfcheck", "--seed", "0", "--coords", "2"]) == 0
     assert re.search(r"^row sums: ok \(1 \+ 1e16 - 1e16 in two scatters gave 0\.0,",

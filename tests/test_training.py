@@ -410,7 +410,7 @@ def test_a_steady_transe_head_backward_allocates_one_entity_sized_array(monkeypa
     assert peaks[-1] < 2 * entity_bytes, f"{peaks[-1] / entity_bytes:.2f} (N x d) arrays at the peak"
 
 
-def _planted_steps(head, poison, steps=3, ties=False):
+def _planted_steps(head, poison, steps=3, ties=False, batch=32):
     """Losses, per-step gradients and the parameters after Adam of a few planted-rule steps.
 
     `poison(workspace, when)` runs before each step ("step") and between
@@ -434,7 +434,7 @@ def _planted_steps(head, poison, steps=3, ties=False):
     for step in range(steps):
         poison(model.params.workspace, "step")
         model.params.zero_grad()
-        loss = batch_loss(model, queries, order[step * 32:(step + 1) * 32], mask_rng, 0.1, 1.0)
+        loss = batch_loss(model, queries, order[step * batch:(step + 1) * batch], mask_rng, 0.1, 1.0)
         poison(model.params.workspace, "backward")
         loss.backward()
         losses.append(loss.item())
@@ -460,19 +460,23 @@ def _poison_every_take(workspace, fill):
 
 
 @pytest.mark.parametrize("at", ["step", "backward", "take"])
-@pytest.mark.parametrize("head, ties", [
-    pytest.param("distmult", False, id="distmult"), pytest.param("transe", False, id="transe"),
-    pytest.param("transe", True, id="transe-ties")])
-def test_every_workspace_region_is_written_before_it_is_read(head, ties, at):
+@pytest.mark.parametrize("head, ties, batch", [
+    pytest.param("distmult", False, 32, id="distmult"),
+    pytest.param("transe", False, 32, id="transe"),
+    pytest.param("transe", True, 32, id="transe-ties"),
+    pytest.param("transe", False, 12, id="transe-narrow-batch")])
+def test_every_workspace_region_is_written_before_it_is_read(head, ties, batch, at):
     # NaN, then zeros, over the whole workspace before each step, or between a
     # loss and its backward, where the head must rescore rather than read a
     # stale block; or over every region as it is taken, which no phase may
     # read before it writes. The first whole-workspace poison grows the
     # workspace past every phase of these steps, so no later take maps fresh
     # memory that it missed. The planted-rule steps have no exact TransE ties
-    # of their own; in the tied case a sorted-columns region read unwritten
-    # finds every tie when it holds zeros and none when it holds NaN
-    plain = _planted_steps(head, lambda workspace, when: None, ties=ties)
+    # of their own; in the tied case an entity-columns region read unwritten
+    # finds every tie when it holds zeros and none when it holds NaN. With 12
+    # queries (B < 2d at dim 8) the adjoint's regions outgrow the loss cells
+    # in the head's spare region
+    plain = _planted_steps(head, lambda workspace, when: None, ties=ties, batch=batch)
     for fill in (np.nan, 0.0):
         def poison(workspace, when, fill=fill):
             if at == "take":
@@ -482,7 +486,7 @@ def test_every_workspace_region_is_written_before_it_is_read(head, ties, at):
                 assert workspace.cells <= 1 << 15, "a phase outgrew the poisoned workspace"
                 workspace.take((1 << 15,))[0].fill(fill)
 
-        poisoned = _planted_steps(head, poison, ties=ties)
+        poisoned = _planted_steps(head, poison, ties=ties, batch=batch)
         assert poisoned[0] == plain[0]
         for got, want in zip(poisoned[1] + [poisoned[2]], plain[1] + [plain[2]]):
             assert got.keys() == want.keys()
@@ -538,31 +542,44 @@ def test_inference_keeps_no_workspace():
 
 @pytest.mark.parametrize("head, dim", [
     pytest.param("distmult", 2, id="2"), pytest.param("distmult", 8, id="8"),
-    pytest.param("distmult", 40, id="40"), pytest.param("transe", 5, id="transe-5")])
+    pytest.param("distmult", 40, id="40"), pytest.param("transe", 5, id="transe-5"),
+    pytest.param("transe", 8, id="transe-8")])
 def test_the_workspace_is_sized_to_its_largest_phase(six_graph, head, dim):
     # 2 B N cells win at dim 2, (E + 2 C) d at dim 8 and twice the (d x 2d)
-    # mixer at dim 40. The TransE head takes its adjoint's four (N x d) regions
-    # behind its blocks: at dim 5 they make the head's phase the largest, where
-    # 2 B N alone would lose to (E + 2 C) d. six_graph's 22 edges make chunks
-    # of 5, 6, 5 and 6 edges, so C is 6
+    # mixer at dim 40. The head takes its (B x N) score block and one spare
+    # region of max(B N, the TransE adjoint's 2 N d) cells: the loss cells
+    # size it at dim 5 (72 against 60 cells), the adjoint's regions at dim 8
+    # (96 against 72); aggregation wins both. six_graph's 22 edges make
+    # chunks of 5, 6, 5 and 6 edges, so C is 6
     queries = build_queries(six_graph)
     model = TrainConfig(dim=dim, head=head, mask_ratio=0.0, seed=0).build_model(six_graph)
+    work = model.params.workspace
+    take, taken = work.take, []
+
+    def recorded(*shapes):
+        taken.append(shapes)
+        return take(*shapes)
+
+    work.take = recorded
     batch = np.arange(12)
     loss = batch_loss(model, queries, batch, None, 0.1, 1.0)
     loss.backward()
     Adam(model.params).step()
     largest = max(p.data.size for _, p in model.params.items())
     num_entities = six_graph.num_entities
-    blocks = 2 * batch.size * num_entities
+    block = batch.size * num_entities
+    adjoint = 2 * num_entities * dim if head == "transe" else 0
+    assert ((batch.size, num_entities), (max(block, adjoint),)) in taken
     chunk = max(hi - lo for lo, hi in six_graph.chunk_bounds)
     assert chunk == 6
     phases = {"aggregation": (six_graph.num_edges + 2 * chunk) * dim,
-              "head": blocks + (4 * num_entities * dim if head == "transe" else 0),
+              "head": block + max(block, adjoint),
               "adam": 2 * largest}
-    assert model.params.workspace.cells == max(phases.values())
-    assert max(phases, key=phases.get) == {2: "head", 8: "aggregation", 40: "adam", 5: "head"}[dim]
+    assert work.cells == max(phases.values())
+    assert max(phases, key=phases.get) == {2: "head", 8: "aggregation", 40: "adam",
+                                           5: "aggregation"}[dim]
     if head == "transe":
-        assert blocks < phases["aggregation"]
+        assert (adjoint > block) == (dim == 8)
 
 
 def test_zeroed_mixers_reproduce_the_ablation(six_graph):
